@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             seed: 5,
             ..Default::default()
         })?;
-        ddqn.pretrain(std::slice::from_ref(&features), 350)?;
+        ddqn.pretrain(&features, 350)?;
 
         for (name, strategy) in [
             ("DDQN (scheme)", None),

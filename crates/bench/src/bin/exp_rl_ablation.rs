@@ -26,7 +26,7 @@ fn final_reward(per: bool, dueling: bool, seed: u64, budget: usize) -> f64 {
     })
     .expect("valid grouping config");
     engine
-        .pretrain(std::slice::from_ref(&features), budget)
+        .pretrain(&features, budget)
         .expect("pretraining runs");
     (0..20)
         .map(|_| engine.construct(&features).expect("construct runs").reward)

@@ -234,10 +234,12 @@ pub struct GroupingEngine {
     /// before each construction. Starts at full drift so the gate never
     /// engages before the encode layer has reported.
     dirty_fraction: f64,
-    /// Pretraining bypasses the drift gate: a stationary pretrain
-    /// population would otherwise gate every episode after the first and
-    /// the DDQN would never learn.
-    in_pretrain: bool,
+    /// Per-`K` groupings of the current [`GroupingEngine::pretrain`] call;
+    /// `Some` exactly while pretraining. Pretraining bypasses the drift
+    /// gate (a stationary pretrain population would otherwise gate every
+    /// episode after the first and the DDQN would never learn) and fits
+    /// cold, so each `K` has one outcome over the frozen feature set.
+    pretrain_memo: Option<std::collections::HashMap<usize, Grouping>>,
     /// Set when the drift gate observed established signals *above*
     /// threshold: the population moved, so the encode layer should do a
     /// full (exact) re-encode next interval instead of serving stale
@@ -292,7 +294,7 @@ impl GroupingEngine {
             last_silhouette: None,
             silhouette_delta: None,
             dirty_fraction: 1.0,
-            in_pretrain: false,
+            pretrain_memo: None,
             refresh_hint: false,
         })
     }
@@ -356,7 +358,7 @@ impl GroupingEngine {
     /// threshold the refresh hint is raised so the encode layer bounds
     /// embedding staleness with a full re-encode.
     fn drift_gate(&mut self) -> Option<usize> {
-        if !self.config.incremental || self.in_pretrain {
+        if !self.config.incremental || self.pretrain_memo.is_some() {
             return None;
         }
         let prev_k = self.prev_k?;
@@ -530,35 +532,61 @@ impl GroupingEngine {
         (self.config.k_min + self.agent.act_greedy(&state)).min(k_cap.max(self.config.k_min))
     }
 
-    /// Pretrains the DDQN by repeatedly constructing groups over the given
-    /// feature sets (cycling through them) for `episodes` iterations.
+    /// Pretrains the DDQN by constructing groups over one frozen feature
+    /// set for `episodes` iterations.
+    ///
+    /// The K-means seed is fixed and pretraining fits cold, so the
+    /// clustering outcome depends on `K` alone: the first episode to draw
+    /// a `K` fits and scores it, and later episodes reuse that grouping.
+    /// Everything else runs every episode, so the agent sees the same
+    /// state, action and reward sequence as unmemoised construction.
     ///
     /// # Errors
     /// Propagates construction errors.
-    pub fn pretrain(&mut self, feature_sets: &[Vec<Vec<f64>>], episodes: usize) -> Result<()> {
-        if feature_sets.is_empty() {
-            return Err(Error::insufficient("at least one feature set"));
-        }
-        self.in_pretrain = true;
-        let mut outcome = Ok(());
-        for e in 0..episodes {
-            let features = &feature_sets[e % feature_sets.len()];
-            if let Err(err) = self.construct(features) {
-                outcome = Err(err);
-                break;
-            }
-        }
-        self.in_pretrain = false;
+    pub fn pretrain(&mut self, features: &[Vec<f64>], episodes: usize) -> Result<()> {
+        self.pretrain_memo = Some(std::collections::HashMap::new());
+        let outcome = (0..episodes).try_for_each(|_| self.construct(features).map(drop));
+        self.pretrain_memo = None;
         outcome
     }
 
+    /// Clusters into `k` groups and scores the result, serving pretraining
+    /// repeats from the memo. The drift bookkeeping runs on every call.
     fn cluster(&mut self, features: &[Vec<f64>], k: usize) -> Result<Grouping> {
+        let memoised = self.pretrain_memo.as_ref().and_then(|m| m.get(&k)).cloned();
+        let hit = memoised.is_some();
+        let grouping = match memoised {
+            Some(g) => g,
+            None => {
+                let g = self.fit_and_score(features, k)?;
+                if let Some(memo) = &mut self.pretrain_memo {
+                    memo.insert(k, g.clone());
+                }
+                g
+            }
+        };
+        if self.config.incremental {
+            if hit {
+                // A repeat over the frozen pretraining set refits unchanged
+                // data: its centroids would not move.
+                self.last_displacement = Some(0.0);
+            }
+            self.silhouette_delta = self.last_silhouette.map(|prev| grouping.silhouette - prev);
+            self.last_silhouette = Some(grouping.silhouette);
+        }
+        Ok(grouping)
+    }
+
+    /// Runs the K-means fit (warm-started in incremental mode outside
+    /// pretraining) and scores it by silhouette and reward.
+    fn fit_and_score(&mut self, features: &[Vec<f64>], k: usize) -> Result<Grouping> {
         let dim = features.first().map_or(0, Vec::len);
         let shape = (k, dim);
         // Warm-start from the last converged centroids of the same shape.
         // A shape change (different K or feature dim) misses the cache and
         // the fit seeds cold via k-means++, exactly as in classic mode.
-        let init = if self.config.incremental {
+        // Pretraining always fits cold.
+        let init = if self.config.incremental && self.pretrain_memo.is_none() {
             self.warm
                 .get(&shape)
                 .map(|w| msvs_cluster::Init::Warm(w.centroids.clone()))
@@ -655,10 +683,6 @@ impl GroupingEngine {
             self.config.silhouette_sample_cap,
         );
         drop(sil_scope);
-        if self.config.incremental {
-            self.silhouette_delta = self.last_silhouette.map(|prev| sil - prev);
-            self.last_silhouette = Some(sil);
-        }
         Ok(Grouping {
             k,
             assignments: fit.assignments,
@@ -834,9 +858,7 @@ mod tests {
             ..Default::default()
         })
         .unwrap();
-        engine
-            .pretrain(std::slice::from_ref(&features), 400)
-            .unwrap();
+        engine.pretrain(&features, 400).unwrap();
         let k = engine.greedy_k(&features);
         // True structure is 4 blobs; accept 3–5 (reward is cost-penalised).
         assert!(
@@ -854,7 +876,7 @@ mod tests {
             ..Default::default()
         })
         .unwrap();
-        ddqn.pretrain(std::slice::from_ref(&features), 350).unwrap();
+        ddqn.pretrain(&features, 350).unwrap();
         let mut random = GroupingEngine::new(GroupingConfig {
             strategy: GroupingStrategy::RandomK,
             seed: 9,
@@ -989,13 +1011,93 @@ mod tests {
         let t = msvs_telemetry::Telemetry::new();
         engine.attach_telemetry(t.clone());
         engine.set_dirty_fraction(0.0);
-        engine
-            .pretrain(std::slice::from_ref(&features), 30)
-            .unwrap();
+        engine.pretrain(&features, 30).unwrap();
         assert_eq!(
             t.counter("ddqn_selections_skipped_total", "all").get(),
             0,
             "every pretrain episode must reach the agent"
+        );
+    }
+
+    /// Samples the `stage` latency histogram holds.
+    fn stage_count(t: &msvs_telemetry::Telemetry, stage: &str) -> u64 {
+        t.summary()
+            .stages
+            .iter()
+            .find(|s| s.stage == stage)
+            .map_or(0, |s| s.count)
+    }
+
+    /// Memoised pretraining replays unmemoised construction exactly: the
+    /// agent ends in the same place, but each `K` is fit and scored once.
+    #[test]
+    fn memoised_pretrain_matches_repeated_construction() {
+        let features = blobs(4, 15, 19);
+        let config = GroupingConfig {
+            epsilon: EpsilonSchedule::linear(1.0, 0.02, 60).unwrap(),
+            seed: 5,
+            ..Default::default()
+        };
+        let episodes = 80;
+        let (tm, tl) = (
+            msvs_telemetry::Telemetry::new(),
+            msvs_telemetry::Telemetry::new(),
+        );
+        let mut memoised = GroupingEngine::new(config.clone()).unwrap();
+        memoised.attach_telemetry(tm.clone());
+        memoised.pretrain(&features, episodes).unwrap();
+        let mut looped = GroupingEngine::new(config.clone()).unwrap();
+        looped.attach_telemetry(tl.clone());
+        for _ in 0..episodes {
+            looped.construct(&features).unwrap();
+        }
+        let distinct_k = (config.k_max - config.k_min + 1) as u64;
+        let silhouettes = stage_count(&tm, msvs_telemetry::stages::SILHOUETTE);
+        assert!(
+            silhouettes <= distinct_k,
+            "{silhouettes} silhouette scores for {distinct_k} distinct K"
+        );
+        assert_eq!(
+            stage_count(&tl, msvs_telemetry::stages::SILHOUETTE),
+            episodes as u64
+        );
+        assert_eq!(memoised.calls(), looped.calls());
+        assert_eq!(
+            memoised.construct(&features).unwrap(),
+            looped.construct(&features).unwrap()
+        );
+        assert_eq!(memoised.greedy_k(&features), looped.greedy_k(&features));
+        // The memo is gone once pretraining returns: scored constructions
+        // fit and score afresh.
+        assert_eq!(
+            stage_count(&tm, msvs_telemetry::stages::SILHOUETTE),
+            silhouettes + 1
+        );
+    }
+
+    /// Pretraining fits cold, yet leaves established, quiet drift signals:
+    /// its population never moved, so the first construction on it may
+    /// keep the pretrained K.
+    #[test]
+    fn incremental_pretrain_fits_cold_and_leaves_quiet_drift_signals() {
+        let features = blobs(3, 15, 23);
+        let mut engine = GroupingEngine::new(GroupingConfig {
+            incremental: true,
+            epsilon: EpsilonSchedule::linear(1.0, 0.0, 20).unwrap(),
+            seed: 3,
+            ..Default::default()
+        })
+        .unwrap();
+        let t = msvs_telemetry::Telemetry::new();
+        engine.attach_telemetry(t.clone());
+        engine.set_dirty_fraction(0.0);
+        engine.pretrain(&features, 60).unwrap();
+        assert_eq!(t.counter("kmeans_warm_rounds_saved", "all").get(), 0);
+        engine.construct(&features).unwrap();
+        assert_eq!(
+            t.counter("ddqn_selections_skipped_total", "all").get(),
+            1,
+            "the drift gate engages right after pretraining"
         );
     }
 
@@ -1048,9 +1150,7 @@ mod per_grouping_tests {
             ..Default::default()
         })
         .unwrap();
-        engine
-            .pretrain(std::slice::from_ref(&features), 400)
-            .unwrap();
+        engine.pretrain(&features, 400).unwrap();
         let k = engine.greedy_k(&features);
         assert!(
             (3..=5).contains(&k),

@@ -501,7 +501,7 @@ impl DtAssistedPredictor {
             )));
         }
         let features = self.encode_population(&twins)?;
-        self.engine.pretrain(&[features], rounds)
+        self.engine.pretrain(&features, rounds)
     }
 
     /// Estimates one member's SNR for the coming interval per the

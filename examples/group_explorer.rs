@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..Default::default()
     })?;
     let t_train = Instant::now();
-    ddqn.pretrain(std::slice::from_ref(&features), 400)?;
+    ddqn.pretrain(&features, 400)?;
     let train_ms = t_train.elapsed().as_secs_f64() * 1000.0;
     println!("DDQN trained online over 400 constructions in {train_ms:.0} ms\n");
 

@@ -126,9 +126,9 @@ fn print_help() {
          `flame` collapses a Chrome-trace file (or a fresh run's spans)\n\
          into inferno-style folded stacks for `inferno-flamegraph`.\n\
          `bench-compare --gate PCT` exits non-zero when any shared\n\
-         stage's p50 regresses — or throughput drops — by more than PCT\n\
-         percent; differing backends, run shapes, or pipeline modes are\n\
-         warned about, never failed.\n\
+         stage's p50 regresses by more than PCT percent, or throughput\n\
+         falls below baseline / (1 + PCT/100); differing backends, run\n\
+         shapes, or pipeline modes are warned about, never failed.\n\
          `checkpoint` runs the same scenario, then snapshots each shard\n\
          (twins + sync state + embedding keys) as one JSON line; the\n\
          `--restore` form reloads and verifies such a file offline.\n\
@@ -594,7 +594,8 @@ fn cmd_bench_report(args: &[String]) -> Result<(), String> {
 /// stage-latency delta table between two bench documents. Without
 /// `--gate` the comparison is informational and always exits 0 on
 /// well-formed inputs; with it, any shared stage whose p50 regressed by
-/// more than PCT percent fails the command, so CI can gate on a
+/// more than PCT percent, or a throughput drop by the same ratio (see
+/// [`throughput_regressed`]), fails the command, so CI can gate on a
 /// threshold generous enough to ride out shared-runner noise.
 fn cmd_bench_compare(args: &[String]) -> Result<(), String> {
     let flags = Flags::new(args)?;
@@ -720,14 +721,9 @@ fn cmd_bench_compare(args: &[String]) -> Result<(), String> {
             } else {
                 println!("{key}: {b:.1} -> {c:.1}");
             }
-            // Throughput rides the same gate as stage p50s: a drop (in
-            // percent of the baseline) beyond the gate fails the compare.
             if key == "throughput_user_intervals_per_s" && b > 0.0 {
-                if let Some(gate) = gate {
-                    let drop_pct = (b - c) / b * 100.0;
-                    if drop_pct > gate {
-                        regressions.push(format!("{key} -{drop_pct:.1}% (gate {gate:.1}%)"));
-                    }
+                if let Some(gate) = gate.filter(|&g| throughput_regressed(b, c, g)) {
+                    regressions.push(format!("{key} {:.2}x slower (gate {gate:.1}%)", b / c));
                 }
             }
         }
@@ -739,6 +735,14 @@ fn cmd_bench_compare(args: &[String]) -> Result<(), String> {
         ));
     }
     Ok(())
+}
+
+/// Throughput rides the same gate as stage p50s, as a ratio: the run time
+/// per user-interval (`1 / throughput`) may grow by at most `gate` percent.
+/// A gate of 150 therefore fails a candidate below `baseline / 2.5`; a
+/// drop percentage tops out at 100 and could not honour such a gate.
+fn throughput_regressed(base: f64, cand: f64, gate_pct: f64) -> bool {
+    cand < base / (1.0 + gate_pct / 100.0)
 }
 
 /// Delta column for one stage row of `bench-compare`. Stage sets may
@@ -1157,6 +1161,17 @@ mod tests {
         assert!(cmd_bench_compare(&raw).is_err());
         let raw = args(&["a.json", "b.json", "--gate", "-5"]);
         assert!(cmd_bench_compare(&raw).is_err());
+    }
+
+    #[test]
+    fn throughput_gate_is_a_ratio() {
+        assert!(throughput_regressed(300.0, 100.0, 150.0), "3x drop fails");
+        assert!(!throughput_regressed(300.0, 150.0, 150.0), "2x drop passes");
+        assert!(
+            !throughput_regressed(300.0, 600.0, 0.0),
+            "a gain never fails"
+        );
+        assert!(throughput_regressed(300.0, 299.0, 0.0));
     }
 
     #[test]

@@ -34,7 +34,10 @@ fn two_interval_config(seed: u64) -> SimulationConfig {
 /// Runs warm-up plus both scored intervals, returning the journal entries
 /// and the final report.
 fn run_journaled(seed: u64) -> (Vec<Entry>, msvs::sim::SimulationReport) {
-    let cfg = two_interval_config(seed);
+    run_config(two_interval_config(seed))
+}
+
+fn run_config(cfg: SimulationConfig) -> (Vec<Entry>, msvs::sim::SimulationReport) {
     let n = cfg.n_intervals;
     let mut sim = Simulation::new(cfg).expect("scenario builds");
     sim.warm_up().expect("warm-up runs");
@@ -124,6 +127,35 @@ fn two_interval_run_journals_the_expected_event_sequence() {
         .expect("scheme_predict stage is timed");
     assert_eq!(predict.count, 3);
     assert!(predict.p50_ms > 0.0 && predict.p99_ms >= predict.p50_ms);
+}
+
+/// Pretraining fits and scores each distinct `K` once over its frozen
+/// population, yet journals one `GroupsFormed` per episode like any other
+/// construction.
+#[test]
+fn pretraining_fits_each_group_count_once() {
+    let mut cfg = two_interval_config(33);
+    cfg.pretrain_rounds = 40;
+    let (rounds, passes) = (cfg.pretrain_rounds, cfg.warmup_intervals + cfg.n_intervals);
+    let distinct_k = cfg.scheme.grouping.k_max - cfg.scheme.grouping.k_min + 1;
+    let (entries, report) = run_config(cfg);
+    for name in [stage::SILHOUETTE, stage::KMEANS_FIT] {
+        let count = report
+            .telemetry
+            .stages
+            .iter()
+            .find(|s| s.stage == name)
+            .map_or(0, |s| s.count) as usize;
+        assert!(
+            (passes..=distinct_k + passes).contains(&count),
+            "{name}: {count} samples for {distinct_k} K values and {passes} passes"
+        );
+    }
+    let groups_formed = entries
+        .iter()
+        .filter(|e| matches!(e.event, Event::GroupsFormed { .. }))
+        .count();
+    assert_eq!(groups_formed, rounds + passes);
 }
 
 #[test]
