@@ -58,8 +58,7 @@ fn bench_infer_scratch(c: &mut Criterion) {
 }
 
 /// The same scratch-arena inference routed through each swappable
-/// compute backend: scalar (reference), simd (bit-identical lanes),
-/// int8 (per-tensor symmetric quantized weights).
+/// compute backend: scalar (reference) and simd (bit-identical lanes).
 fn bench_infer_backends(c: &mut Criterion) {
     let mut group = c.benchmark_group("cnn_infer_backend");
     let net = encoder(32);

@@ -41,9 +41,8 @@ pub struct CompressorConfig {
     /// RNG seed for weight initialisation.
     pub seed: u64,
     /// Compute backend for the frozen encode path. Training always runs
-    /// the exact scalar kernels regardless of this setting — only
-    /// [`CnnCompressor::encode`] (and the paths through it) switch, so
-    /// `int8` quantizes nothing the optimiser reads.
+    /// the scalar kernels regardless of this setting — only
+    /// [`CnnCompressor::encode`] (and the paths through it) switch.
     pub backend: BackendKind,
 }
 

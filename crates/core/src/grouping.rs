@@ -76,13 +76,6 @@ pub struct GroupingConfig {
     pub learning_rate: f32,
     /// DDQN exploration schedule.
     pub epsilon: EpsilonSchedule,
-    /// Use prioritized experience replay in the DDQN (grouping rewards are
-    /// sparse and noisy; PER replays the informative transitions more).
-    pub prioritized_replay: bool,
-    /// Use a dueling value/advantage Q-network head (adjacent group counts
-    /// share most of their value, which the dueling decomposition models
-    /// directly).
-    pub dueling: bool,
     /// RNG seed (agent weights, K-means seeding, random baseline).
     pub seed: u64,
     /// Worker threads for the K-means assignment step (`1` = serial,
@@ -123,8 +116,6 @@ impl Default for GroupingConfig {
             hidden: vec![64, 32],
             learning_rate: 1e-3,
             epsilon: EpsilonSchedule::linear(0.6, 0.05, 400).expect("static schedule is valid"),
-            prioritized_replay: false,
-            dueling: false,
             seed: 0,
             threads: 1,
             silhouette_sample_cap: 4096,
@@ -278,8 +269,6 @@ impl GroupingEngine {
             min_replay: 64,
             target_sync_every: 50,
             epsilon: config.epsilon,
-            per: config.prioritized_replay.then(msvs_rl::PerConfig::default),
-            dueling: config.dueling,
             seed: config.seed,
         })?;
         Ok(Self {
@@ -378,7 +367,7 @@ impl GroupingEngine {
 
     /// DDQN state: normalised pairwise-distance histogram + population
     /// size + previous `K` + previous reward. Pair sampling is
-    /// O(samples), not O(n²): see [`pair_from_flat`].
+    /// O(samples), not O(n²): see `pair_from_flat`.
     pub fn state_of(&self, features: &[Vec<f64>]) -> Vec<f32> {
         let mut state = vec![0f32; HIST_BINS + 3];
         let n = features.len();
@@ -1110,51 +1099,5 @@ mod tests {
         .unwrap();
         let g = engine.construct(&blobs(1, 5, 7)).unwrap();
         assert!(g.k <= 5);
-    }
-}
-
-#[cfg(test)]
-mod per_grouping_tests {
-    use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    fn blobs(k: usize, per: usize, seed: u64) -> Vec<Vec<f64>> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut out = Vec::new();
-        for c in 0..k {
-            let center: Vec<f64> = (0..4)
-                .map(|d| ((c * 7 + d * 3) % 10) as f64 * 2.0)
-                .collect();
-            for _ in 0..per {
-                out.push(
-                    center
-                        .iter()
-                        .map(|&x| x + msvs_types::stats::normal(&mut rng, 0.0, 0.15))
-                        .collect(),
-                );
-            }
-        }
-        out
-    }
-
-    #[test]
-    fn prioritized_replay_engine_converges_too() {
-        let features = blobs(4, 15, 31);
-        let mut engine = GroupingEngine::new(GroupingConfig {
-            k_min: 2,
-            k_max: 8,
-            prioritized_replay: true,
-            epsilon: EpsilonSchedule::linear(1.0, 0.02, 250).unwrap(),
-            seed: 7,
-            ..Default::default()
-        })
-        .unwrap();
-        engine.pretrain(&features, 400).unwrap();
-        let k = engine.greedy_k(&features);
-        assert!(
-            (3..=5).contains(&k),
-            "PER agent should land near k=4, chose {k}"
-        );
     }
 }

@@ -86,7 +86,7 @@ impl Shape {
         false
     }
 
-    /// The dims as an owned vector (for [`Tensor`] round-trips).
+    /// The dims as an owned vector (for [`crate::Tensor`] round-trips).
     pub fn to_vec(&self) -> Vec<usize> {
         self.dims().to_vec()
     }
@@ -187,7 +187,7 @@ pub fn dense_infer(
 /// Fills `patch[out_len, in_ch * kernel]` with the im2col expansion of
 /// one batch row `x = [in_ch, in_len]`:
 /// `patch[t][ic * kernel + k] = x[ic][t * stride + k]`.
-/// Shared by [`conv1d_infer`] and the quantized conv backend.
+/// Shared by [`conv1d_infer`] and the SIMD conv backend.
 pub(crate) fn im2col_rows(
     x: &[f32],
     patch: &mut [f32],

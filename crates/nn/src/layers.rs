@@ -8,7 +8,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::backend::{self, ComputeBackend, ConvDims, ConvWeights, DenseWeights, QuantCell};
+use crate::backend::{self, ComputeBackend, ConvDims, ConvWeights, DenseWeights};
 use crate::kernels::Shape;
 use crate::tensor::Tensor;
 
@@ -86,11 +86,9 @@ fn he_init(rng: &mut StdRng, fan_in: usize, n: usize) -> Vec<f32> {
 /// `[batch, out]`.
 ///
 /// Keeps a cached transpose `weight_t` (`[in, out]`) so inference runs
-/// the cache-blocked GEMM without materialising a transpose per call,
-/// plus a lazily-populated int8 quantization of that transpose for the
-/// [`crate::QuantizedBackend`]. Both caches are refreshed by the single
-/// [`Dense::refresh_weight_layout`] hook, called from the only two
-/// weight-mutation sites — [`Dense::set_weights`] and
+/// the cache-blocked GEMM without materialising a transpose per call.
+/// The transpose is refreshed by a single private hook called from the
+/// only two weight-mutation sites — [`Dense::set_weights`] and
 /// [`Layer::visit_params`] (the optimiser's write path; the fields are
 /// private, so nothing else can touch the weights).
 #[derive(Debug, Clone)]
@@ -100,7 +98,6 @@ pub struct Dense {
     bias: Tensor,     // [out]
     w_grad: Tensor,
     b_grad: Tensor,
-    quant: QuantCell, // int8 view of weight_t, invalidated on weight writes
     input: Option<Tensor>,
 }
 
@@ -123,17 +120,16 @@ impl Dense {
             bias: Tensor::zeros(vec![out_dim]),
             weight_t: Tensor::zeros(vec![in_dim, out_dim]),
             weight: Tensor::zeros(vec![out_dim, in_dim]),
-            quant: QuantCell::default(),
             input: None,
         };
         layer.set_weights(weight);
         layer
     }
 
-    /// Replaces the weight matrix (`[out, in]`) and refreshes every
-    /// derived layout — the single public weight-write entry point, so
-    /// backends can rely on [`Dense::refresh_weight_layout`] running
-    /// after every mutation.
+    /// Replaces the weight matrix (`[out, in]`) and refreshes the cached
+    /// transpose — the single public weight-write entry point, so
+    /// backends can rely on the transpose matching the weights after
+    /// every mutation.
     ///
     /// # Panics
     /// Panics if `weight`'s shape differs from the current `[out, in]`.
@@ -147,10 +143,8 @@ impl Dense {
         self.refresh_weight_layout();
     }
 
-    /// Re-derives the cached layouts from `weight`: rewrites `weight_t`
-    /// in place (no allocation) and drops the int8 cache so the
-    /// quantized backend re-quantizes on next use. Every weight-mutation
-    /// site funnels through here.
+    /// Re-derives `weight_t` from `weight` in place (no allocation).
+    /// Every weight-mutation site funnels through here.
     fn refresh_weight_layout(&mut self) {
         let (out_dim, in_dim) = (self.weight.shape()[0], self.weight.shape()[1]);
         let w = self.weight.data();
@@ -160,7 +154,6 @@ impl Dense {
                 wt[p * out_dim + o] = w[o * in_dim + p];
             }
         }
-        self.quant.invalidate();
     }
 
     /// Input dimensionality.
@@ -197,7 +190,6 @@ impl Dense {
         DenseWeights {
             w_t: self.weight_t.data(),
             bias: self.bias.data(),
-            quant: &self.quant,
         }
     }
 }
@@ -282,7 +274,6 @@ pub struct Conv1d {
     bias: Tensor,   // [out_ch]
     w_grad: Tensor,
     b_grad: Tensor,
-    quant: QuantCell, // int8 view of weight, invalidated on weight writes
     stride: usize,
     input: Option<Tensor>,
 }
@@ -309,7 +300,6 @@ impl Conv1d {
             b_grad: Tensor::zeros(vec![out_ch]),
             bias: Tensor::zeros(vec![out_ch]),
             weight,
-            quant: QuantCell::default(),
             stride,
             input: None,
         }
@@ -376,7 +366,6 @@ impl Layer for Conv1d {
             ConvWeights {
                 weight: self.weight.data(),
                 bias: self.bias.data(),
-                quant: &self.quant,
             },
             out,
             patch,
@@ -433,8 +422,6 @@ impl Layer for Conv1d {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
         f(&mut self.weight, &mut self.w_grad);
         f(&mut self.bias, &mut self.b_grad);
-        // The visitor may have stepped the kernels; drop the int8 cache.
-        self.quant.invalidate();
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -801,7 +788,7 @@ mod tests {
 
     /// Central-difference numerical gradient check for a layer's input
     /// gradient and parameter gradients.
-    pub(super) fn check_gradients(layer: &mut dyn Layer, input: Tensor, tol: f32) {
+    fn check_gradients(layer: &mut dyn Layer, input: Tensor, tol: f32) {
         let eps = 1e-3_f32;
         // Loss = sum of outputs; dL/dout = ones.
         let out = layer.forward(&input, true);
@@ -933,26 +920,13 @@ mod tests {
     }
 
     #[test]
-    fn set_weights_refreshes_transpose_and_int8_cache() {
+    fn set_weights_refreshes_transpose() {
         let mut d = Dense::new(2, 2, 5);
-        // Populate the int8 cache by running the quantized backend once.
-        let x = Tensor::from_vec(vec![1.0, -1.0], vec![1, 2]).unwrap();
-        let (mut out, mut patch) = (Vec::new(), Vec::new());
-        let shape = Shape::rank2(1, 2);
-        d.infer_into(
-            x.data(),
-            shape,
-            &mut out,
-            &mut patch,
-            crate::BackendKind::Int8.handle(),
-        );
-        assert!(d.quant.is_populated());
-        // A weight write must refresh the transpose and drop the cache.
         let w = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], vec![2, 2]).unwrap();
         d.set_weights(w);
-        assert!(!d.quant.is_populated(), "set_weights must invalidate int8");
         assert_eq!(d.weight_t.data(), &[1.0, 3.0, 2.0, 4.0], "transpose synced");
         // y = x W^T + b with b = 0: [1*1 + (-1)*2, 1*3 + (-1)*4].
+        let x = Tensor::from_vec(vec![1.0, -1.0], vec![1, 2]).unwrap();
         let y = d.infer(&x);
         assert_eq!(y.data(), &[-1.0, -1.0]);
     }
@@ -976,122 +950,5 @@ mod tests {
         let yb = b.forward(&x, false);
         assert_eq!(ya.data(), &[0.0, 0.0]);
         assert_eq!(yb.data(), ya.data(), "zero input -> bias only (zeros)");
-    }
-}
-
-/// Dueling network head (Wang et al., 2016): splits the representation
-/// into a scalar state-value stream `V` and a per-action advantage stream
-/// `A`, recombining as `Q(s, a) = V(s) + A(s, a) − mean_a A(s, a)`.
-///
-/// The mean-centring keeps the decomposition identifiable and makes value
-/// generalise across actions — useful when many grouping counts share
-/// similar outcomes.
-#[derive(Debug, Clone)]
-pub struct DuelingHead {
-    value: Dense,
-    advantage: Dense,
-}
-
-impl DuelingHead {
-    /// Builds a head mapping `in_dim` features to `actions` Q-values.
-    ///
-    /// # Panics
-    /// Panics if `in_dim` or `actions` is zero.
-    pub fn new(in_dim: usize, actions: usize, seed: u64) -> Self {
-        Self {
-            value: Dense::new(in_dim, 1, seed ^ 0xD0E1),
-            advantage: Dense::new(in_dim, actions, seed ^ 0xD0E2),
-        }
-    }
-
-    /// Number of actions produced.
-    pub fn actions(&self) -> usize {
-        self.advantage.out_dim()
-    }
-
-    fn combine(v: &Tensor, a: &Tensor) -> Tensor {
-        let (batch, actions) = (a.shape()[0], a.shape()[1]);
-        let mut q = Tensor::zeros(vec![batch, actions]);
-        for b in 0..batch {
-            let mean_a: f32 = (0..actions).map(|i| a.get2(b, i)).sum::<f32>() / actions as f32;
-            for i in 0..actions {
-                q.set2(b, i, v.get2(b, 0) + a.get2(b, i) - mean_a);
-            }
-        }
-        q
-    }
-}
-
-impl Layer for DuelingHead {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let v = self.value.forward(input, train);
-        let a = self.advantage.forward(input, train);
-        Self::combine(&v, &a)
-    }
-
-    fn infer(&self, input: &Tensor) -> Tensor {
-        let v = self.value.infer(input);
-        let a = self.advantage.infer(input);
-        Self::combine(&v, &a)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let (batch, actions) = (grad_out.shape()[0], grad_out.shape()[1]);
-        // dV[b] = sum_i g[b,i]; dA[b,i] = g[b,i] - mean_j g[b,j].
-        let mut grad_v = Tensor::zeros(vec![batch, 1]);
-        let mut grad_a = Tensor::zeros(vec![batch, actions]);
-        for b in 0..batch {
-            let total: f32 = (0..actions).map(|i| grad_out.get2(b, i)).sum();
-            grad_v.set2(b, 0, total);
-            let mean = total / actions as f32;
-            for i in 0..actions {
-                grad_a.set2(b, i, grad_out.get2(b, i) - mean);
-            }
-        }
-        let gv = self.value.backward(&grad_v);
-        let ga = self.advantage.backward(&grad_a);
-        gv.add(&ga)
-    }
-
-    fn zero_grad(&mut self) {
-        self.value.zero_grad();
-        self.advantage.zero_grad();
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
-        self.value.visit_params(f);
-        self.advantage.visit_params(f);
-    }
-
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
-    }
-}
-
-#[cfg(test)]
-mod dueling_tests {
-    use super::*;
-
-    #[test]
-    fn dueling_gradients_match_numeric() {
-        let mut layer = DuelingHead::new(3, 4, 17);
-        let input = Tensor::from_vec(vec![0.4, -0.3, 0.9, -0.5, 0.2, 0.7], vec![2, 3]).unwrap();
-        tests::check_gradients(&mut layer, input, 3e-2);
-    }
-
-    #[test]
-    fn q_values_are_mean_centred_around_value() {
-        let mut layer = DuelingHead::new(2, 3, 5);
-        let x = Tensor::from_vec(vec![0.5, -0.5], vec![1, 2]).unwrap();
-        let q = layer.forward(&x, false);
-        // Recover V as the mean of the Q row (advantages are centred).
-        let mean_q: f32 = q.row(0).iter().sum::<f32>() / 3.0;
-        let v = layer.value.forward(&x, false).get2(0, 0);
-        assert!((mean_q - v).abs() < 1e-5, "mean Q {mean_q} vs V {v}");
-    }
-
-    #[test]
-    fn head_reports_action_count() {
-        assert_eq!(DuelingHead::new(4, 7, 0).actions(), 7);
     }
 }

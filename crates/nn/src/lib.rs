@@ -45,11 +45,10 @@ pub mod optim;
 pub mod tensor;
 
 pub use backend::{
-    BackendKind, ComputeBackend, ConvDims, ConvWeights, DenseWeights, QuantCell, QuantTensor,
-    QuantizedBackend, ScalarBackend, SimdBackend,
+    BackendKind, ComputeBackend, ConvDims, ConvWeights, DenseWeights, ScalarBackend, SimdBackend,
 };
 pub use kernels::{Scratch, Shape};
-pub use layers::{Conv1d, Dense, DuelingHead, Flatten, Layer, MaxPool1d, Relu, Tanh};
+pub use layers::{Conv1d, Dense, Flatten, Layer, MaxPool1d, Relu, Tanh};
 pub use loss::{huber_loss, masked_mse_loss, mse_loss};
 pub use network::Sequential;
 pub use optim::{Adam, Optimizer, Sgd};

@@ -307,16 +307,6 @@ mod tests {
         for (i, (a, b)) in want.iter().zip(&simd).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "simd element {i}: {a} vs {b}");
         }
-        let (int8, int8_shape) = {
-            let (d, s) = net.infer_scratch(&x, &mut scratch, BackendKind::Int8.handle());
-            (d.to_vec(), s)
-        };
-        assert_eq!(int8_shape, want_shape);
-        // Post-tanh activations are in [-1, 1]; quantization error through
-        // this tiny net stays well inside a coarse envelope.
-        for (i, (a, b)) in want.iter().zip(&int8).enumerate() {
-            assert!((a - b).abs() < 0.15, "int8 element {i} drifted: {a} vs {b}");
-        }
     }
 
     #[test]

@@ -4,27 +4,8 @@ use msvs_nn::{masked_mse_loss, Adam, Dense, Layer, Optimizer, Relu, Sequential, 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::per::PrioritizedReplay;
 use crate::replay::{ReplayBuffer, Transition};
 use crate::schedule::EpsilonSchedule;
-
-/// Prioritized-replay hyperparameters (see [`crate::per`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PerConfig {
-    /// Prioritisation strength in `[0, 1]` (0 = uniform).
-    pub alpha: f64,
-    /// Importance-sampling correction in `[0, 1]` (1 = unbiased).
-    pub beta: f64,
-}
-
-impl Default for PerConfig {
-    fn default() -> Self {
-        Self {
-            alpha: 0.6,
-            beta: 0.4,
-        }
-    }
-}
 
 /// Hyperparameters for a [`DdqnAgent`].
 #[derive(Debug, Clone)]
@@ -49,11 +30,6 @@ pub struct DdqnConfig {
     pub target_sync_every: u64,
     /// Exploration schedule.
     pub epsilon: EpsilonSchedule,
-    /// Prioritized replay; `None` uses the uniform buffer.
-    pub per: Option<PerConfig>,
-    /// Use a dueling value/advantage head instead of a plain dense output
-    /// layer (Wang et al., 2016).
-    pub dueling: bool,
     /// RNG seed (weights, exploration, sampling).
     pub seed: u64,
 }
@@ -71,8 +47,6 @@ impl Default for DdqnConfig {
             min_replay: 64,
             target_sync_every: 100,
             epsilon: EpsilonSchedule::default(),
-            per: None,
-            dueling: false,
             seed: 0,
         }
     }
@@ -108,41 +82,11 @@ impl DdqnConfig {
                 "must be positive",
             ));
         }
-        if let Some(per) = self.per {
-            if !(0.0..=1.0).contains(&per.alpha) || !(0.0..=1.0).contains(&per.beta) {
-                return Err(Error::invalid_config(
-                    "per",
-                    "alpha and beta must be in [0, 1]",
-                ));
-            }
-        }
         Ok(())
     }
 }
 
-enum ReplayKind {
-    Uniform(ReplayBuffer),
-    Prioritized(PrioritizedReplay),
-}
-
-impl ReplayKind {
-    fn len(&self) -> usize {
-        match self {
-            ReplayKind::Uniform(b) => b.len(),
-            ReplayKind::Prioritized(b) => b.len(),
-        }
-    }
-
-    fn push(&mut self, t: Transition) {
-        match self {
-            ReplayKind::Uniform(b) => b.push(t),
-            ReplayKind::Prioritized(b) => b.push(t),
-        }
-    }
-}
-
-/// A DDQN agent: ε-greedy acting, uniform or prioritized replay, double-Q
-/// targets.
+/// A DDQN agent: ε-greedy acting, uniform replay, double-Q targets.
 ///
 /// The *online* network selects the best next action; the *target* network
 /// evaluates it. This decoupling removes the maximisation bias of vanilla
@@ -152,7 +96,7 @@ pub struct DdqnAgent {
     online: Sequential,
     target: Sequential,
     optimizer: Adam,
-    replay: ReplayKind,
+    replay: ReplayBuffer,
     rng: StdRng,
     steps: u64,
     train_steps: u64,
@@ -188,28 +132,12 @@ impl DdqnAgent {
             in_dim = h;
             seed = seed.wrapping_add(1);
         }
-        if config.dueling {
-            layers.push(Box::new(msvs_nn::DuelingHead::new(
-                in_dim,
-                config.action_count,
-                seed,
-            )));
-        } else {
-            layers.push(Box::new(Dense::new(in_dim, config.action_count, seed)));
-        }
+        layers.push(Box::new(Dense::new(in_dim, config.action_count, seed)));
         let online = Sequential::new(layers);
         let target = online.clone();
-        let replay = match config.per {
-            Some(per) => ReplayKind::Prioritized(PrioritizedReplay::new(
-                config.replay_capacity,
-                per.alpha,
-                per.beta,
-            )),
-            None => ReplayKind::Uniform(ReplayBuffer::new(config.replay_capacity)),
-        };
         Ok(Self {
             optimizer: Adam::new(config.learning_rate),
-            replay,
+            replay: ReplayBuffer::new(config.replay_capacity),
             rng: StdRng::seed_from_u64(config.seed),
             online,
             target,
@@ -324,25 +252,7 @@ impl DdqnAgent {
         let actions = self.config.action_count;
         let gamma = self.config.gamma;
 
-        let (batch, weights, indices): (Vec<Transition>, Vec<f32>, Option<Vec<usize>>) =
-            match &self.replay {
-                ReplayKind::Uniform(b) => {
-                    let batch: Vec<Transition> = b
-                        .sample(&mut self.rng, batch_size)
-                        .into_iter()
-                        .cloned()
-                        .collect();
-                    let n = batch.len();
-                    (batch, vec![1.0; n], None)
-                }
-                ReplayKind::Prioritized(b) => {
-                    let samples = b.sample(&mut self.rng, batch_size);
-                    let batch = samples.iter().map(|s| s.transition.clone()).collect();
-                    let weights = samples.iter().map(|s| s.weight).collect();
-                    let indices = samples.iter().map(|s| s.index).collect();
-                    (batch, weights, Some(indices))
-                }
-            };
+        let batch = self.replay.sample(&mut self.rng, batch_size);
 
         let mut states = Tensor::zeros(vec![batch_size, dim]);
         let mut next_states = Tensor::zeros(vec![batch_size, dim]);
@@ -371,30 +281,10 @@ impl DdqnAgent {
             mask.set2(i, t.action, 1.0);
         }
 
-        let (loss, mut grad) = masked_mse_loss(&q_pred, &target, &mask);
-        // Importance-sampling correction and TD errors for PER.
-        let mut td_errors = Vec::new();
-        if indices.is_some() {
-            td_errors.reserve(batch.len());
-            for (i, t) in batch.iter().enumerate() {
-                td_errors.push((q_pred.get2(i, t.action) - target.get2(i, t.action)) as f64);
-                let w = weights[i];
-                if w != 1.0 {
-                    for a in 0..actions {
-                        let g = grad.get2(i, a) * w;
-                        grad.set2(i, a, g);
-                    }
-                }
-            }
-        }
+        let (loss, grad) = masked_mse_loss(&q_pred, &target, &mask);
         self.online.zero_grad();
         self.online.backward(&grad);
         self.optimizer.step(&mut self.online);
-        if let (ReplayKind::Prioritized(b), Some(idx)) = (&mut self.replay, indices) {
-            for (td, slot) in td_errors.iter().zip(idx) {
-                b.update_priority(slot, *td);
-            }
-        }
 
         self.train_steps += 1;
         if self
@@ -557,172 +447,5 @@ mod tests {
             next_state: vec![0.0, 0.0],
             done: true,
         });
-    }
-}
-
-#[cfg(test)]
-mod per_agent_tests {
-    use super::*;
-
-    fn per_config(seed: u64) -> DdqnConfig {
-        DdqnConfig {
-            state_dim: 2,
-            action_count: 3,
-            hidden: vec![16],
-            learning_rate: 5e-3,
-            min_replay: 32,
-            batch_size: 16,
-            epsilon: EpsilonSchedule::linear(1.0, 0.05, 200).unwrap(),
-            per: Some(PerConfig::default()),
-            seed,
-            ..DdqnConfig::default()
-        }
-    }
-
-    #[test]
-    fn per_agent_learns_contextual_bandit() {
-        let mut agent = DdqnAgent::new(per_config(11)).unwrap();
-        let mut rng = StdRng::seed_from_u64(5);
-        for _ in 0..600 {
-            let ctx = rng.gen_range(0..2usize);
-            let state = if ctx == 0 {
-                vec![1.0, 0.0]
-            } else {
-                vec![0.0, 1.0]
-            };
-            let action = agent.act(&state);
-            let best = if ctx == 0 { 0 } else { 2 };
-            let reward = if action == best { 1.0 } else { 0.0 };
-            agent.observe(Transition {
-                state,
-                action,
-                reward,
-                next_state: vec![0.0, 0.0],
-                done: true,
-            });
-        }
-        assert_eq!(agent.act_greedy(&[1.0, 0.0]), 0);
-        assert_eq!(agent.act_greedy(&[0.0, 1.0]), 2);
-    }
-
-    #[test]
-    fn per_agent_is_deterministic_per_seed() {
-        let run = || {
-            let mut agent = DdqnAgent::new(per_config(9)).unwrap();
-            let mut actions = Vec::new();
-            for i in 0..120 {
-                let s = vec![(i % 2) as f32, ((i + 1) % 2) as f32];
-                let a = agent.act(&s);
-                actions.push(a);
-                agent.observe(Transition {
-                    state: s,
-                    action: a,
-                    reward: (a == 1) as u8 as f32,
-                    next_state: vec![0.0, 0.0],
-                    done: true,
-                });
-            }
-            actions
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn per_rejects_bad_hyperparameters() {
-        let bad = DdqnConfig {
-            per: Some(PerConfig {
-                alpha: 1.5,
-                beta: 0.4,
-            }),
-            ..DdqnConfig::default()
-        };
-        assert!(DdqnAgent::new(bad).is_err());
-    }
-
-    #[test]
-    fn per_learns_rare_rewarding_event_faster() {
-        // One state in fifty carries reward signal; PER should replay it
-        // preferentially and identify the right action with fewer steps.
-        let train = |per: Option<PerConfig>| {
-            let mut agent = DdqnAgent::new(DdqnConfig {
-                per,
-                ..per_config(21)
-            })
-            .unwrap();
-            let mut rng = StdRng::seed_from_u64(3);
-            for step in 0..400 {
-                let rare = step % 25 == 0;
-                let state = if rare { vec![1.0, 1.0] } else { vec![0.0, 0.0] };
-                let action = agent.act(&state);
-                let reward = if rare && action == 1 { 1.0 } else { 0.0 };
-                let _ = rng.gen::<f64>();
-                agent.observe(Transition {
-                    state,
-                    action,
-                    reward,
-                    next_state: vec![0.0, 0.0],
-                    done: true,
-                });
-            }
-            agent.act_greedy(&[1.0, 1.0])
-        };
-        // PER must solve it; uniform may or may not at this budget, so we
-        // only assert the prioritized agent's success.
-        assert_eq!(train(Some(PerConfig::default())), 1);
-    }
-}
-
-#[cfg(test)]
-mod dueling_agent_tests {
-    use super::*;
-
-    #[test]
-    fn dueling_agent_learns_contextual_bandit() {
-        let mut agent = DdqnAgent::new(DdqnConfig {
-            state_dim: 2,
-            action_count: 3,
-            hidden: vec![16],
-            learning_rate: 5e-3,
-            min_replay: 32,
-            batch_size: 16,
-            epsilon: EpsilonSchedule::linear(1.0, 0.05, 200).unwrap(),
-            dueling: true,
-            seed: 13,
-            ..DdqnConfig::default()
-        })
-        .unwrap();
-        let mut rng = StdRng::seed_from_u64(5);
-        for _ in 0..600 {
-            let ctx = rng.gen_range(0..2usize);
-            let state = if ctx == 0 {
-                vec![1.0, 0.0]
-            } else {
-                vec![0.0, 1.0]
-            };
-            let action = agent.act(&state);
-            let best = if ctx == 0 { 0 } else { 2 };
-            let reward = if action == best { 1.0 } else { 0.0 };
-            agent.observe(Transition {
-                state,
-                action,
-                reward,
-                next_state: vec![0.0, 0.0],
-                done: true,
-            });
-        }
-        assert_eq!(agent.act_greedy(&[1.0, 0.0]), 0);
-        assert_eq!(agent.act_greedy(&[0.0, 1.0]), 2);
-    }
-
-    #[test]
-    fn dueling_q_output_has_action_count_entries() {
-        let mut agent = DdqnAgent::new(DdqnConfig {
-            state_dim: 4,
-            action_count: 6,
-            dueling: true,
-            ..DdqnConfig::default()
-        })
-        .unwrap();
-        assert_eq!(agent.q_values(&[0.1, 0.2, 0.3, 0.4]).len(), 6);
     }
 }

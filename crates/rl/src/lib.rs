@@ -32,12 +32,10 @@
 
 pub mod ddqn;
 pub mod env;
-pub mod per;
 pub mod replay;
 pub mod schedule;
 
-pub use ddqn::{DdqnAgent, DdqnConfig, PerConfig};
+pub use ddqn::{DdqnAgent, DdqnConfig};
 pub use env::Environment;
-pub use per::{PrioritizedReplay, PrioritizedSample};
 pub use replay::{ReplayBuffer, Transition};
 pub use schedule::EpsilonSchedule;

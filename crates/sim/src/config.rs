@@ -15,53 +15,114 @@ use msvs_video::{CatalogConfig, EngagementModel};
 /// the whole test suite without touching each test's config.
 pub const THREADS_ENV: &str = "MSVS_THREADS";
 
-fn default_threads() -> usize {
-    std::env::var(THREADS_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(0)
-}
-
 /// Environment variable that overrides the default shard count (`1` =
 /// the legacy single-cell deployment). Lets CI exercise the multi-BS
 /// sharded path across the whole test suite without touching each test's
 /// config.
 pub const SHARDS_ENV: &str = "MSVS_SHARDS";
 
-fn default_shards() -> usize {
-    std::env::var(SHARDS_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
-}
-
 /// Environment variable that switches the incremental interval pipeline
 /// on by default (`1` or `true`). Lets CI exercise the incremental path
 /// across whole test suites without touching each test's config.
 pub const INCREMENTAL_ENV: &str = "MSVS_INCREMENTAL";
 
-fn default_incremental() -> bool {
-    std::env::var(INCREMENTAL_ENV)
-        .ok()
-        .map(|v| {
-            let v = v.trim();
-            v == "1" || v.eq_ignore_ascii_case("true")
-        })
-        .unwrap_or(false)
-}
-
 /// Environment variable that overrides the default compute backend
-/// (`scalar`, the bit-exact reference). Lets CI exercise the SIMD or int8
+/// (`scalar`, the bit-exact reference). Lets CI exercise the SIMD
 /// inference path across the whole test suite without touching each
 /// test's config.
 pub const BACKEND_ENV: &str = "MSVS_BACKEND";
 
-fn default_backend() -> BackendKind {
-    std::env::var(BACKEND_ENV)
+fn parse_threads(v: &str) -> Option<usize> {
+    v.trim().parse().ok()
+}
+
+fn parse_shards(v: &str) -> Option<usize> {
+    v.trim().parse().ok().filter(|&n| n >= 1)
+}
+
+fn parse_incremental(v: &str) -> Option<bool> {
+    match v.trim() {
+        "1" => Some(true),
+        "0" => Some(false),
+        v if v.eq_ignore_ascii_case("true") => Some(true),
+        v if v.eq_ignore_ascii_case("false") => Some(false),
+        _ => None,
+    }
+}
+
+/// Reads `name` and parses it with `parse`; unset or unparseable values
+/// fall back to the built-in default. [`check_env`] is the strict gate
+/// a front end runs first, so a bad value is reported rather than
+/// silently replaced.
+fn env_or<T>(name: &str, parse: fn(&str) -> Option<T>, default: T) -> T {
+    std::env::var(name)
         .ok()
-        .and_then(|v| BackendKind::parse(&v))
-        .unwrap_or_default()
+        .and_then(|v| parse(&v))
+        .unwrap_or(default)
+}
+
+fn default_threads() -> usize {
+    env_or(THREADS_ENV, parse_threads, 0)
+}
+
+fn default_shards() -> usize {
+    env_or(SHARDS_ENV, parse_shards, 1)
+}
+
+fn default_incremental() -> bool {
+    env_or(INCREMENTAL_ENV, parse_incremental, false)
+}
+
+fn default_backend() -> BackendKind {
+    env_or(BACKEND_ENV, BackendKind::parse, BackendKind::default())
+}
+
+/// Checks one `MSVS_*` override with the parse rule its config default
+/// uses. The error names the variable and the values it accepts. An
+/// empty value reads as unset; names outside the four overrides pass.
+///
+/// # Errors
+/// Returns a one-line message when `value` does not parse.
+pub fn check_env_value(name: &str, value: &str) -> std::result::Result<(), String> {
+    if value.trim().is_empty() {
+        return Ok(());
+    }
+    let (ok, accepted) = match name {
+        THREADS_ENV => (
+            parse_threads(value).is_some(),
+            "a non-negative integer (0 = all cores)",
+        ),
+        SHARDS_ENV => (parse_shards(value).is_some(), "a positive integer"),
+        INCREMENTAL_ENV => (parse_incremental(value).is_some(), "0, 1, true or false"),
+        BACKEND_ENV => (BackendKind::parse(value).is_some(), "scalar or simd"),
+        _ => return Ok(()),
+    };
+    if ok {
+        Ok(())
+    } else {
+        Err(format!(
+            "{name}={value:?} is not valid; expected {accepted}"
+        ))
+    }
+}
+
+/// Checks every `MSVS_*` override set in the process environment (see
+/// [`check_env_value`]). Front ends call this before building a config,
+/// because the config defaults fall back silently.
+///
+/// # Errors
+/// Returns the first bad override's message.
+pub fn check_env() -> std::result::Result<(), String> {
+    for name in [THREADS_ENV, SHARDS_ENV, INCREMENTAL_ENV, BACKEND_ENV] {
+        match std::env::var(name) {
+            Ok(value) => check_env_value(name, &value)?,
+            Err(std::env::VarError::NotPresent) => {}
+            Err(std::env::VarError::NotUnicode(_)) => {
+                return Err(format!("{name} is not valid UTF-8"))
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Population shares of the three mobility models.
@@ -238,9 +299,8 @@ pub struct SimulationConfig {
     /// produce bit-identical reports at any shard count.
     pub shards: usize,
     /// Compute backend for the frozen CNN encode path (`scalar` is the
-    /// bit-exact reference; `simd` is bit-identical to it; `int8`
-    /// trades bounded embedding error for throughput). Training and the
-    /// DDQN always run exact f32 kernels regardless. Defaults to the
+    /// bit-exact reference; `simd` is bit-identical to it). Training and
+    /// the DDQN always run the scalar kernels. Defaults to the
     /// `MSVS_BACKEND` environment variable, or `scalar`.
     pub backend: BackendKind,
     /// Incremental interval pipeline: re-encode only dirty users (churn,
@@ -546,6 +606,45 @@ impl SimulationConfigBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn env_check_accepts_what_the_defaults_parse() {
+        for (name, value) in [
+            (THREADS_ENV, "0"),
+            (THREADS_ENV, " 4 "),
+            (SHARDS_ENV, "1"),
+            (SHARDS_ENV, "4"),
+            (INCREMENTAL_ENV, "0"),
+            (INCREMENTAL_ENV, "1"),
+            (INCREMENTAL_ENV, "true"),
+            (INCREMENTAL_ENV, "FALSE"),
+            (BACKEND_ENV, "scalar"),
+            (BACKEND_ENV, "simd"),
+            (BACKEND_ENV, ""),
+            ("MSVS_UNRELATED", "anything"),
+        ] {
+            assert_eq!(check_env_value(name, value), Ok(()), "{name}={value}");
+        }
+    }
+
+    #[test]
+    fn env_check_names_the_variable_and_its_accepted_values() {
+        for (name, value, accepted) in [
+            (THREADS_ENV, "four", "non-negative integer"),
+            (THREADS_ENV, "-1", "non-negative integer"),
+            (SHARDS_ENV, "0", "positive integer"),
+            (SHARDS_ENV, "x", "positive integer"),
+            (INCREMENTAL_ENV, "yes", "0, 1, true or false"),
+            (INCREMENTAL_ENV, "2", "0, 1, true or false"),
+            (BACKEND_ENV, "int8", "scalar or simd"),
+            (BACKEND_ENV, "quantized", "scalar or simd"),
+            (BACKEND_ENV, "gpu", "scalar or simd"),
+        ] {
+            let err = check_env_value(name, value).unwrap_err();
+            assert!(err.contains(name), "{err}");
+            assert!(err.contains(accepted), "{err}");
+        }
+    }
 
     #[test]
     fn default_config_is_valid() {

@@ -311,9 +311,9 @@ impl Simulation {
         &self.store
     }
 
-    /// Snapshots every shard into a [`ShardCheckpoint`] at the current
-    /// interval boundary, pairing each twin with its user's live
-    /// `SyncTracker` state. Works at any shard count (a single-shard run
+    /// Snapshots every shard into a [`msvs_shard::ShardCheckpoint`] at
+    /// the current interval boundary, pairing each twin with its user's
+    /// live `SyncTracker` state. Works at any shard count (a single-shard run
     /// yields one checkpoint of the whole population).
     pub fn checkpoint_shards(&self) -> Vec<msvs_shard::ShardCheckpoint> {
         let trackers: std::collections::HashMap<UserId, &SyncTracker> =

@@ -59,15 +59,18 @@ impl Json {
         }
     }
 
-    /// Parses one JSON document from `input`.
+    /// Parses one JSON document from `input`. Arrays and objects may nest
+    /// at most 128 levels deep, so hostile input cannot exhaust the stack
+    /// of the recursive descent.
     ///
     /// # Errors
-    /// Returns a human-readable message on malformed input or trailing
-    /// non-whitespace.
+    /// Returns a human-readable message on malformed input, nesting past
+    /// 128 levels, or trailing non-whitespace.
     pub fn parse(input: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -133,9 +136,14 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. Every document
+/// the workspace writes nests fewer than ten levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -177,11 +185,26 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    /// Runs one container parser one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn number(&mut self) -> Result<Json, String> {
@@ -372,5 +395,80 @@ mod tests {
         assert!(Json::parse("[1,2").is_err());
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse("\"open").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_with_the_offending_offset() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let mut deepest = Json::parse(&nest(MAX_DEPTH)).unwrap();
+        for _ in 1..MAX_DEPTH {
+            deepest = match deepest {
+                Json::Arr(mut items) => items.pop().unwrap(),
+                other => panic!("expected an array, got {other}"),
+            };
+        }
+        assert_eq!(deepest, Json::Arr(Vec::new()));
+        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(Json::parse(&objects).is_ok());
+
+        let err = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains(&format!("at byte {MAX_DEPTH}")), "{err}");
+        // A 100 KB run of `[` must fail cleanly, not overflow the stack.
+        let err = Json::parse(&"[".repeat(100_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+    }
+
+    /// splitmix64: a dependency-free, well-mixed seeded generator.
+    fn splitmix64(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Seeded mutation fuzzing over committed documents: byte flips,
+    /// truncations and cross-document splices must each yield `Ok` or
+    /// `Err`, never a panic.
+    #[test]
+    fn mutated_documents_never_panic() {
+        const SEEDS: [&str; 2] = [
+            include_str!("../../../results/BENCH_7.json"),
+            include_str!("../../../results/fault_profiles/bs-crash.json"),
+        ];
+        // Bytes that steer the parser into its structural branches.
+        const SPICE: &[u8] = b"[]{}\",:\\u0-+.eE tfn\n\xff";
+        for seed in SEEDS {
+            assert!(Json::parse(seed).is_ok(), "seed documents parse");
+        }
+        let mut state = 0x5EED_u64;
+        let below = |n: usize, state: &mut u64| (splitmix64(state) % n.max(1) as u64) as usize;
+        for case in 0..4000 {
+            let doc = SEEDS[case % SEEDS.len()].as_bytes();
+            let mut bytes = doc.to_vec();
+            match case % 3 {
+                0 => {
+                    for _ in 0..1 + below(4, &mut state) {
+                        let at = below(bytes.len(), &mut state);
+                        bytes[at] = if below(2, &mut state) == 0 {
+                            SPICE[below(SPICE.len(), &mut state)]
+                        } else {
+                            splitmix64(&mut state) as u8
+                        };
+                    }
+                }
+                1 => bytes.truncate(below(bytes.len(), &mut state)),
+                _ => {
+                    let other = SEEDS[below(SEEDS.len(), &mut state)].as_bytes();
+                    let cut = below(bytes.len(), &mut state);
+                    let from = below(other.len(), &mut state);
+                    bytes.truncate(cut);
+                    bytes.extend_from_slice(&other[from..]);
+                }
+            }
+            let text = String::from_utf8_lossy(&bytes);
+            let outcome = std::panic::catch_unwind(|| Json::parse(&text));
+            assert!(outcome.is_ok(), "case {case} panicked on {text:?}");
+        }
     }
 }

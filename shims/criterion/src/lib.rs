@@ -43,7 +43,7 @@ pub struct Bencher {
 
 impl Bencher {
     /// Times `routine`, batching iterations so each sample spans roughly
-    /// [`SAMPLE_TARGET`].
+    /// `SAMPLE_TARGET`.
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut routine: F) {
         if self.iters_per_sample == 0 {
             // Calibrate: run until the target elapses once.

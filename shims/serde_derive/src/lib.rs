@@ -1,5 +1,5 @@
 //! No-op `#[derive(Serialize)]` / `#[derive(Deserialize)]` macros for the
-//! offline [`serde`] stand-in.
+//! offline `serde` stand-in.
 //!
 //! The workspace derives these traits on its public types for downstream
 //! compatibility but never serialises through serde itself (structured

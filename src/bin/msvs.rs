@@ -3,7 +3,7 @@
 //! ```text
 //! msvs run [--users N] [--intervals N] [--seed S] [--churn F]
 //!          [--per-bs] [--predictor scheme|naive|ewma] [--threads N] [--shards N]
-//!          [--backend scalar|simd|int8] [--silhouette-cap N]
+//!          [--backend scalar|simd] [--silhouette-cap N]
 //!          [--faults PROFILE] [--slo POLICY] [--serve-metrics ADDR]
 //!          [--csv PATH] [--journal PATH] [--trace PATH]
 //! msvs checkpoint [run flags] [--out PATH]
@@ -12,7 +12,7 @@
 //! msvs flame <trace.json> [--out PATH]
 //! msvs flame [run flags] [--out PATH]
 //! msvs bench-report [--seed S] [--users N] [--intervals N] [--threads N]
-//!          [--shards N] [--backend scalar|simd|int8] [--out PATH]
+//!          [--shards N] [--backend scalar|simd] [--out PATH]
 //! msvs bench-compare <baseline.json> <candidate.json> [--gate PCT]
 //! msvs swiping [--users N] [--seed S]
 //! msvs reserve [--headroom F] [--users N] [--seed S]
@@ -38,7 +38,9 @@ use msvs::types::VideoCategory;
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let command = args.first().map(String::as_str).unwrap_or("help");
-    let result = match command {
+    // The config defaults fall back silently on a bad MSVS_* override;
+    // reject it here, before any command reads one.
+    let result = msvs::sim::check_env().and_then(|()| match command {
         "run" => cmd_run(&args[1..]),
         "checkpoint" => cmd_checkpoint(&args[1..]),
         "report" => cmd_report(&args[1..]),
@@ -52,7 +54,7 @@ fn main() -> ExitCode {
             Ok(())
         }
         other => Err(format!("unknown command `{other}` (try `msvs help`)")),
-    };
+    });
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -69,7 +71,7 @@ fn print_help() {
          USAGE:\n\
          \x20 msvs run     [--users N] [--intervals N] [--seed S] [--churn F]\n\
          \x20              [--per-bs] [--predictor scheme|naive|ewma] [--threads N]\n\
-         \x20              [--shards N] [--backend scalar|simd|int8] [--incremental]\n\
+         \x20              [--shards N] [--backend scalar|simd] [--incremental]\n\
          \x20              [--silhouette-cap N] [--faults PROFILE] [--slo POLICY]\n\
          \x20              [--serve-metrics ADDR] [--csv PATH]\n\
          \x20              [--journal PATH] [--trace PATH]\n\
@@ -80,7 +82,7 @@ fn print_help() {
          \x20 msvs flame   <trace.json | run flags> [--out PATH]\n\
          \x20                                          folded stacks for flamegraphs\n\
          \x20 msvs bench-report [--seed S] [--users N] [--intervals N] [--threads N]\n\
-         \x20              [--shards N] [--backend scalar|simd|int8] [--churn F]\n\
+         \x20              [--shards N] [--backend scalar|simd] [--churn F]\n\
          \x20              [--incremental] [--out PATH]    perf baseline as JSON\n\
          \x20 msvs bench-compare <baseline.json> <candidate.json> [--gate PCT]\n\
          \x20                                          stage-latency delta table\n\
@@ -97,9 +99,9 @@ fn print_help() {
          cross-shard twin handover (default from MSVS_SHARDS, else 1).\n\
          Seeded runs are bit-identical at any shard count.\n\
          `--backend` picks the CNN-encode compute backend (default from\n\
-         MSVS_BACKEND, else scalar). `simd` is bit-identical to `scalar`;\n\
-         `int8` trades bounded embedding error for throughput. Training\n\
-         and the DDQN always run exact f32 kernels.\n\
+         MSVS_BACKEND, else scalar). `simd` is bit-identical to `scalar`.\n\
+         Training and the DDQN always run the scalar kernels. An\n\
+         MSVS_* variable whose value does not parse is an error.\n\
          `--silhouette-cap N` caps silhouette scoring at N sampled users\n\
          (0 disables sampling; default 4096).\n\
          `--incremental` switches on the incremental interval pipeline:\n\
@@ -1115,17 +1117,15 @@ mod tests {
 
     #[test]
     fn base_config_accepts_backend_flag() {
-        for (name, kind) in [
-            ("scalar", BackendKind::Scalar),
-            ("simd", BackendKind::Simd),
-            ("int8", BackendKind::Int8),
-        ] {
+        for (name, kind) in [("scalar", BackendKind::Scalar), ("simd", BackendKind::Simd)] {
             let raw = args(&["--backend", name]);
             let cfg = base_config(&Flags::new(&raw).unwrap()).unwrap();
             assert_eq!(cfg.backend, kind);
         }
-        let raw = args(&["--backend", "gpu"]);
-        assert!(base_config(&Flags::new(&raw).unwrap()).is_err());
+        for name in ["gpu", "int8"] {
+            let raw = args(&["--backend", name]);
+            assert!(base_config(&Flags::new(&raw).unwrap()).is_err(), "{name}");
+        }
     }
 
     #[test]

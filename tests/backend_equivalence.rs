@@ -1,8 +1,7 @@
 //! Report-level compute-backend guarantees: a seeded run routed through
 //! the SIMD backend must produce a bit-identical `SimulationReport` to
-//! the scalar reference, and the int8 quantized backend must complete
-//! end to end with its prediction accuracy within a pinned bound of the
-//! scalar run.
+//! the scalar reference, and the CLI must refuse a backend name it does
+//! not know, whether it comes from `--backend` or `MSVS_BACKEND`.
 
 use msvs::core::{BackendKind, CompressorConfig, GroupingConfig, SchemeConfig};
 use msvs::sim::{Simulation, SimulationConfig, SimulationReport};
@@ -65,34 +64,27 @@ fn simd_backend_report_is_bit_identical_to_scalar() {
     );
 }
 
-#[test]
-fn int8_backend_completes_with_bounded_accuracy_delta() {
-    let scalar = Simulation::run(seeded_config(42, 200, BackendKind::Scalar)).expect("scalar run");
-    let int8 = Simulation::run(seeded_config(42, 200, BackendKind::Int8)).expect("int8 run");
-    assert_eq!(int8.intervals.len(), scalar.intervals.len());
-    for (name, s, q) in [
-        (
-            "radio",
-            scalar.mean_radio_accuracy(),
-            int8.mean_radio_accuracy(),
-        ),
-        (
-            "computing",
-            scalar.mean_computing_accuracy(),
-            int8.mean_computing_accuracy(),
-        ),
-    ] {
-        assert!(
-            s.is_finite() && q.is_finite(),
-            "{name} accuracy must be finite (scalar {s}, int8 {q})"
-        );
-        // Pinned bound: quantizing the frozen encoder's weights perturbs
-        // embeddings, which may shift k-means group boundaries, but the
-        // end-to-end demand accuracy must stay within 5 percentage
-        // points of the scalar run on this seeded scenario.
-        assert!(
-            (s - q).abs() < 0.05,
-            "{name} accuracy delta too large: scalar {s:.4} vs int8 {q:.4}"
-        );
+/// Runs the `msvs` binary with `MSVS_BACKEND` cleared except for `env`.
+fn msvs(args: &[&str], env: Option<&str>) -> std::process::Output {
+    let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_msvs"));
+    cmd.args(args).env_remove("MSVS_BACKEND");
+    if let Some(value) = env {
+        cmd.env("MSVS_BACKEND", value);
     }
+    cmd.output().expect("msvs binary runs")
+}
+
+#[test]
+fn cli_rejects_an_unknown_backend_from_flag_or_env() {
+    let run = ["run", "--users", "24", "--intervals", "1"];
+    let out = msvs(&run, Some("int8"));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "MSVS_BACKEND=int8 must fail");
+    assert!(stderr.contains("MSVS_BACKEND"), "stderr: {stderr}");
+    assert!(stderr.contains("scalar or simd"), "stderr: {stderr}");
+
+    let out = msvs(&[&run[..], &["--backend", "int8"]].concat(), None);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "--backend int8 must fail");
+    assert!(stderr.contains("int8"), "stderr: {stderr}");
 }
