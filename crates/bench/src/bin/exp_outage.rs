@@ -42,7 +42,7 @@ fn main() {
             .mean_twin_coverage()
             .map_or("-".to_string(), |c| format!("{:.1}", 100.0 * c));
         let degraded = format!("{}/{}", report.degraded_intervals(), report.intervals.len());
-        let summary = report.shards.as_ref().expect("sharded summary");
+        let summary = &report.shards;
         let worst_avail = summary
             .demand
             .iter()

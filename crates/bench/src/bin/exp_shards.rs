@@ -32,35 +32,28 @@ fn main() {
         };
         let report = Simulation::run(cfg).expect("simulation runs");
         let acc = 100.0 * report.mean_radio_accuracy();
-        match &report.shards {
-            Some(s) => {
-                println!(
-                    "{shards:>7} {acc:>14.1} {:>11} {:>10} {:>15.2}",
-                    s.handovers_total, s.embeddings_dropped_total, s.peak_imbalance
-                );
-                tables.push_str(&format!(
-                    "\n# per-BS demand, {shards} shards (summed over scored intervals)\n"
-                ));
-                tables.push_str(&format!(
-                    "{:>7} {:>7} {:>14} {:>18} {:>11} {:>11}\n",
-                    "shard", "users", "radio (RB)", "computing (Gcyc)", "cache hits", "misses"
-                ));
-                for row in &s.demand {
-                    tables.push_str(&format!(
-                        "{:>7} {:>7} {:>14.1} {:>18.2} {:>11} {:>11}\n",
-                        row.shard,
-                        row.users,
-                        row.radio,
-                        row.computing / 1e9,
-                        row.video_cache_hits,
-                        row.video_cache_misses,
-                    ));
-                }
-            }
-            None => println!(
-                "{shards:>7} {acc:>14.1} {:>11} {:>10} {:>15}",
-                "-", "-", "legacy path"
-            ),
+        let s = &report.shards;
+        println!(
+            "{shards:>7} {acc:>14.1} {:>11} {:>10} {:>15.2}",
+            s.handovers_total, s.embeddings_dropped_total, s.peak_imbalance
+        );
+        tables.push_str(&format!(
+            "\n# per-BS demand, {shards} shards (summed over scored intervals)\n"
+        ));
+        tables.push_str(&format!(
+            "{:>7} {:>7} {:>14} {:>18} {:>11} {:>11}\n",
+            "shard", "users", "radio (RB)", "computing (Gcyc)", "cache hits", "misses"
+        ));
+        for row in &s.demand {
+            tables.push_str(&format!(
+                "{:>7} {:>7} {:>14.1} {:>18.2} {:>11} {:>11}\n",
+                row.shard,
+                row.users,
+                row.radio,
+                row.computing / 1e9,
+                row.video_cache_hits,
+                row.video_cache_misses,
+            ));
         }
     }
     print!("{tables}");

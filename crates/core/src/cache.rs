@@ -40,11 +40,11 @@ pub struct CachedEmbedding {
 
 /// Where the compressor's per-user encodings live between passes.
 ///
-/// The default backend is a single in-process [`EmbeddingCache`];
-/// multi-shard deployments install a backend that routes each twin to its
-/// owning shard's cache. Any backend yields bit-identical feature
-/// matrices (a cached row equals a fresh encode); only the hit/miss
-/// split — and hence the `cnn_cache_*` counters — may differ.
+/// The default backend is a single in-process [`EmbeddingCache`]; the
+/// simulator installs one that routes each twin to its owning shard's
+/// cache. Any backend yields bit-identical feature matrices (a cached
+/// row equals a fresh encode); only the hit/miss split — and hence the
+/// `cnn_cache_*` counters — may differ.
 pub trait EmbeddingBackend: std::fmt::Debug + Send {
     /// Splits a population snapshot into hits and misses for compressor
     /// `generation` (see [`EmbeddingCache::plan`]).
@@ -104,6 +104,24 @@ pub struct CachePlan {
     pub hits: usize,
 }
 
+impl CachePlan {
+    /// Plans `twins`, missing exactly those `stale` flags (an
+    /// [`EmbeddingCache`] staleness rule on the cache holding the entry).
+    pub fn from_stale(
+        twins: &[UserDigitalTwin],
+        mut stale: impl FnMut(&UserDigitalTwin) -> bool,
+    ) -> Self {
+        let miss_indices: Vec<usize> = twins
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| stale(t))
+            .map(|(i, _)| i)
+            .collect();
+        let hits = twins.len() - miss_indices.len();
+        Self { miss_indices, hits }
+    }
+}
+
 /// Per-user memo of the last CNN encoding, invalidated by twin revision
 /// or compressor generation changes.
 #[derive(Debug, Default)]
@@ -158,8 +176,8 @@ impl EmbeddingCache {
         }
     }
 
-    /// The cached encoding for `user`, if any (no staleness check — the
-    /// caller compares revisions).
+    /// The cached encoding for `user`, if any (no staleness check; see
+    /// [`is_stale`](Self::is_stale)).
     pub fn lookup(&self, user: UserId) -> Option<&CachedEmbedding> {
         self.entries.get(&user)
     }
@@ -194,18 +212,15 @@ impl EmbeddingCache {
     /// served.
     pub fn plan(&mut self, generation: u64, twins: &[UserDigitalTwin]) -> CachePlan {
         self.sync_generation(generation);
-        let miss_indices: Vec<usize> = twins
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| {
-                self.entries
-                    .get(&t.user())
-                    .is_none_or(|e| e.revision != t.revision())
-            })
-            .map(|(i, _)| i)
-            .collect();
-        let hits = twins.len() - miss_indices.len();
-        CachePlan { miss_indices, hits }
+        CachePlan::from_stale(twins, |t| self.is_stale(t))
+    }
+
+    /// The exact staleness rule behind [`plan`](Self::plan): `twin`
+    /// re-encodes unless an entry of its current revision is cached.
+    pub fn is_stale(&self, twin: &UserDigitalTwin) -> bool {
+        self.entries
+            .get(&twin.user())
+            .is_none_or(|e| e.revision != twin.revision())
     }
 
     /// Incremental-mode split: a deliberately *coarser* criterion than
@@ -234,20 +249,18 @@ impl EmbeddingCache {
         dirty: &HashSet<UserId>,
     ) -> CachePlan {
         self.sync_generation(generation);
-        let miss_indices: Vec<usize> = twins
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| {
-                dirty.contains(&t.user())
-                    || self
-                        .entries
-                        .get(&t.user())
-                        .is_none_or(|e| e.revision.instance != t.revision().instance)
-            })
-            .map(|(i, _)| i)
-            .collect();
-        let hits = twins.len() - miss_indices.len();
-        CachePlan { miss_indices, hits }
+        CachePlan::from_stale(twins, |t| self.is_stale_incremental(t, dirty))
+    }
+
+    /// The coarse staleness rule behind
+    /// [`plan_incremental`](Self::plan_incremental): `twin` re-encodes
+    /// when it is in `dirty` or no entry of its instance is cached.
+    pub fn is_stale_incremental(&self, twin: &UserDigitalTwin, dirty: &HashSet<UserId>) -> bool {
+        dirty.contains(&twin.user())
+            || self
+                .entries
+                .get(&twin.user())
+                .is_none_or(|e| e.revision.instance != twin.revision().instance)
     }
 
     /// Stores the freshly-encoded features for `plan`'s misses, prunes

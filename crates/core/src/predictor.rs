@@ -96,7 +96,7 @@ pub trait DemandPredictor: Send {
         Ok(())
     }
 
-    /// Installs an embedding-cache backend (sharded deployments route
+    /// Installs an embedding-cache backend (the simulator's shards route
     /// each twin's cached encoding to its owning shard). Default: no-op —
     /// scalar predictors run no compressor.
     fn set_embedding_backend(&mut self, _backend: Box<dyn crate::cache::EmbeddingBackend>) {}

@@ -354,9 +354,9 @@ impl DtAssistedPredictor {
         self.compressor.thaw();
     }
 
-    /// Replaces the embedding-cache backend. Multi-shard deployments
-    /// install a sharded backend here so each per-BS shard owns its slice
-    /// of the cache and handover can migrate entries between shards.
+    /// Replaces the embedding-cache backend. The simulator installs its
+    /// sharded backend here so each per-BS shard owns its slice of the
+    /// cache and handover can migrate entries between shards.
     /// Features are bit-identical for any backend (cached rows equal
     /// fresh encodes); only the hit/miss split may differ.
     pub fn set_embedding_backend(&mut self, backend: Box<dyn EmbeddingBackend>) {

@@ -1,7 +1,7 @@
 //! Global reservation aggregator: per-shard demand attribution.
 //!
 //! The reservation itself stays global (the `SimulationReport` must be
-//! comparable to the single-shard path), but operators provision per
+//! comparable at every shard count), but operators provision per
 //! cell. The aggregator folds each interval's per-group demand
 //! predictions into per-shard rows by member ownership — a group's
 //! demand is split evenly across its members, and each member's share is
@@ -39,8 +39,8 @@ pub struct ShardDemandRow {
     pub availability: f64,
 }
 
-/// End-of-run summary of the shard plane, attached to the
-/// `SimulationReport` when more than one shard ran.
+/// End-of-run summary of the shard plane, attached to every
+/// `SimulationReport` (one demand row per shard, one row at 1 shard).
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct ShardSummary {
     /// Number of shards the run partitioned into.

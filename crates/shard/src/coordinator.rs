@@ -77,9 +77,9 @@ pub struct OutageTransition {
 /// ownership map, so the parallel collection sweep works unchanged);
 /// read paths implement [`TwinView`] by merging per-shard snapshots on
 /// the worker pool into the canonical user-sorted order the predictor
-/// consumes. With one shard the coordinator is a transparent facade over
-/// a single store — same instance nonces, no shard telemetry — so the
-/// legacy single-cell deployment is reproduced bit for bit.
+/// consumes. A single-cell deployment is a coordinator over one shard:
+/// it runs the same gather, sweep, outage and aggregation code, none of
+/// which can move a twin when there is nowhere to move it.
 #[derive(Debug)]
 pub struct ShardCoordinator {
     shards: Vec<Shard>,
@@ -139,10 +139,8 @@ impl ShardCoordinator {
         }
     }
 
-    /// Wires the shard plane into an observability pipeline. Stages and
-    /// counters are only emitted when more than one shard runs, so a
-    /// one-shard deployment's telemetry is identical to the unsharded
-    /// path.
+    /// Wires the shard plane into an observability pipeline (its stages,
+    /// handover/outage counters and imbalance gauge).
     pub fn attach_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = Some(telemetry);
     }
@@ -150,12 +148,6 @@ impl ShardCoordinator {
     /// Number of shards.
     pub fn n_shards(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Whether the deployment is actually partitioned (shard telemetry
-    /// and the handover sweep only run when it is).
-    pub fn sharded(&self) -> bool {
-        self.shards.len() > 1
     }
 
     /// The shards themselves (read-only).
@@ -357,11 +349,8 @@ impl ShardCoordinator {
     /// The canonical population view: per-shard snapshots taken on the
     /// worker pool, merged into user-sorted order — identical to the
     /// snapshot of one store holding every twin. Emits a `shard_gather`
-    /// stage with one child span per shard when sharded.
+    /// stage with one child span per shard.
     pub fn snapshot(&self) -> Vec<UserDigitalTwin> {
-        if !self.sharded() {
-            return self.shards[0].store().snapshot();
-        }
         let scope = self
             .telemetry
             .as_ref()
@@ -370,10 +359,9 @@ impl ShardCoordinator {
             .pool
             .map_stats(&self.shards, |_, shard| shard.store().snapshot());
         if let (Some(t), Some(_scope)) = (&self.telemetry, scope.as_ref()) {
-            for (i, part) in parts.iter().enumerate() {
+            for i in 0..parts.len() {
                 let mut span = t.span(stages::SHARD_SLICE);
                 span.set_batch(i as u64);
-                let _ = part;
                 span.end();
             }
             t.gauge("par_threads", stages::SHARD_GATHER)
@@ -402,15 +390,11 @@ impl ShardCoordinator {
         mut lost: impl FnMut(UserId) -> bool,
     ) -> HandoverStats {
         let mut stats = HandoverStats::default();
-        if !self.sharded() {
-            return stats;
-        }
         let before = self.len();
         let scope = self
             .telemetry
             .as_ref()
             .map(|t| t.stage_scope(stages::SHARD_REBALANCE));
-        let mut per_shard_in = vec![0u64; self.shards.len()];
         for hu in users.iter_mut() {
             let user = hu.user;
             let Some(from) = self.owner_of(user) else {
@@ -438,7 +422,6 @@ impl ShardCoordinator {
             let lost_report = lost(user);
             *hu.tracker = self.shards[to].import(export, !lost_report);
             self.owner_write().insert(user, to);
-            per_shard_in[to] += 1;
             stats.moved += 1;
             if lost_report {
                 stats.embeddings_dropped += 1;
@@ -450,10 +433,9 @@ impl ShardCoordinator {
         let imbalance = self.imbalance();
         self.peak_imbalance = self.peak_imbalance.max(imbalance);
         if let (Some(t), Some(_scope)) = (&self.telemetry, scope.as_ref()) {
-            for (i, &arrivals) in per_shard_in.iter().enumerate() {
+            for i in 0..self.shards.len() {
                 let mut span = t.span(stages::SHARD_SLICE);
                 span.set_batch(i as u64);
-                let _ = arrivals;
                 span.end();
             }
             t.counter("handovers_total", "all").add(stats.moved as u64);
@@ -504,9 +486,6 @@ impl ShardCoordinator {
         users: &mut [HandoverUser<'_>],
     ) -> Vec<OutageTransition> {
         let mut transitions = Vec::new();
-        if !self.sharded() {
-            return transitions;
-        }
         let before = self.len();
         for i in 0..self.shards.len() {
             match (self.down[i], target(i)) {
@@ -646,11 +625,8 @@ impl ShardCoordinator {
     }
 
     /// Folds one interval's per-group demand predictions into the global
-    /// reservation aggregator's per-shard rows (no-op unsharded).
+    /// reservation aggregator's per-shard rows.
     pub fn fold_demand(&mut self, groups: &[GroupDemandPrediction]) {
-        if !self.sharded() {
-            return;
-        }
         let _scope = self
             .telemetry
             .as_ref()
@@ -661,16 +637,13 @@ impl ShardCoordinator {
 
     /// Records one multicast group playback against the local video
     /// cache tier of every shard with a member in the group — each
-    /// shard's BS fetches the stream once (no-op unsharded).
+    /// shard's BS fetches the stream once.
     pub fn record_group_playback(
         &mut self,
         members: &[UserId],
         video: &Video,
         level: RepresentationLevel,
     ) {
-        if !self.sharded() {
-            return;
-        }
         let shards: BTreeSet<usize> = {
             let owner = self.owner_read();
             members
@@ -869,33 +842,21 @@ mod tests {
     }
 
     #[test]
-    fn single_shard_is_a_transparent_facade() {
+    fn one_shard_is_a_deployment_of_size_one() {
         let mut c = coordinator(1);
         insert_at(&mut c, 0, 1.0, 1.0);
         insert_at(&mut c, 1, 99.0, 99.0);
-        assert!(!c.sharded());
-        let mut trackers = [SyncTracker::default(), SyncTracker::default()];
-        let [ref mut tr0, ref mut tr1] = trackers;
-        let mut users = vec![
-            HandoverUser {
-                user: UserId(0),
-                tracker: tr0,
-            },
-            HandoverUser {
-                user: UserId(1),
-                tracker: tr1,
-            },
-        ];
+        let mut trackers: Vec<(UserId, SyncTracker)> = (0..2)
+            .map(|i| (UserId(i), SyncTracker::default()))
+            .collect();
+        // The sweep runs, but there is no other cell to hand over to.
+        let mut users = handover_users(&mut trackers);
         assert_eq!(c.rebalance(&mut users, |_| true), HandoverStats::default());
-        // Legacy nonce sequence: 1, 2, ...
-        assert_eq!(
-            c.with_twin(UserId(0), |t| t.revision().instance).unwrap(),
-            1
-        );
-        assert_eq!(
-            c.with_twin(UserId(1), |t| t.revision().instance).unwrap(),
-            2
-        );
+        // The only shard is the last live shard: no outage can down it.
+        let mut users = handover_users(&mut trackers);
+        let t = c.apply_outages(0, |_| Some(OutageMode::Crash), &mut users);
+        assert!(t.is_empty() && !c.is_down(0));
+        assert_eq!(c.summary().demand[0].availability, 1.0);
     }
 
     fn handover_users<'a>(trackers: &'a mut [(UserId, SyncTracker)]) -> Vec<HandoverUser<'a>> {

@@ -7,7 +7,7 @@
 //! fresh encode); only the hit/miss split can differ.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 use msvs_core::cache::{CachePlan, CachedEmbedding, EmbeddingBackend, EmbeddingCache};
 use msvs_types::UserId;
@@ -48,39 +48,25 @@ impl ShardedEmbeddingBackend {
             .unwrap_or(0)
             .min(self.caches.len() - 1)
     }
-}
 
-impl EmbeddingBackend for ShardedEmbeddingBackend {
-    fn plan(&mut self, generation: u64, twins: &[UserDigitalTwin]) -> CachePlan {
-        for cache in &self.caches {
-            cache
-                .lock()
-                .expect("embedding cache lock poisoned")
-                .sync_generation(generation);
-        }
-        let owner = self.owner.read().expect("owner map lock poisoned");
-        let miss_indices: Vec<usize> = twins
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| {
-                let shard = self.shard_of(&owner, t.user());
-                self.caches[shard]
-                    .lock()
-                    .expect("embedding cache lock poisoned")
-                    .lookup(t.user())
-                    .is_none_or(|e| e.revision != t.revision())
-            })
-            .map(|(i, _)| i)
-            .collect();
-        let hits = twins.len() - miss_indices.len();
-        CachePlan { miss_indices, hits }
+    /// The cache slice holding `user`'s entry.
+    fn cache_of(
+        &self,
+        owner: &HashMap<UserId, usize>,
+        user: UserId,
+    ) -> MutexGuard<'_, EmbeddingCache> {
+        self.caches[self.shard_of(owner, user)]
+            .lock()
+            .expect("embedding cache lock poisoned")
     }
 
-    fn plan_incremental(
-        &mut self,
+    /// Plans `twins` for compressor `generation` under `stale`, applied
+    /// to the cache slice of each twin's owning shard.
+    fn plan_with(
+        &self,
         generation: u64,
         twins: &[UserDigitalTwin],
-        dirty: &HashSet<UserId>,
+        stale: impl Fn(&EmbeddingCache, &UserDigitalTwin) -> bool,
     ) -> CachePlan {
         for cache in &self.caches {
             cache
@@ -89,26 +75,24 @@ impl EmbeddingBackend for ShardedEmbeddingBackend {
                 .sync_generation(generation);
         }
         let owner = self.owner.read().expect("owner map lock poisoned");
-        // Same coarse criterion as `EmbeddingCache::plan_incremental`:
-        // absence, instance mismatch, or explicit dirtiness — routine
-        // revision bumps keep serving the cached encoding.
-        let miss_indices: Vec<usize> = twins
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| {
-                dirty.contains(&t.user()) || {
-                    let shard = self.shard_of(&owner, t.user());
-                    self.caches[shard]
-                        .lock()
-                        .expect("embedding cache lock poisoned")
-                        .lookup(t.user())
-                        .is_none_or(|e| e.revision.instance != t.revision().instance)
-                }
-            })
-            .map(|(i, _)| i)
-            .collect();
-        let hits = twins.len() - miss_indices.len();
-        CachePlan { miss_indices, hits }
+        CachePlan::from_stale(twins, |t| stale(&self.cache_of(&owner, t.user()), t))
+    }
+}
+
+impl EmbeddingBackend for ShardedEmbeddingBackend {
+    fn plan(&mut self, generation: u64, twins: &[UserDigitalTwin]) -> CachePlan {
+        self.plan_with(generation, twins, EmbeddingCache::is_stale)
+    }
+
+    fn plan_incremental(
+        &mut self,
+        generation: u64,
+        twins: &[UserDigitalTwin],
+        dirty: &HashSet<UserId>,
+    ) -> CachePlan {
+        self.plan_with(generation, twins, |cache, t| {
+            cache.is_stale_incremental(t, dirty)
+        })
     }
 
     fn complete(
@@ -125,10 +109,7 @@ impl EmbeddingBackend for ShardedEmbeddingBackend {
         let owner = self.owner.read().expect("owner map lock poisoned");
         for (&i, features) in plan.miss_indices.iter().zip(fresh) {
             let user = twins[i].user();
-            let shard = self.shard_of(&owner, user);
-            let mut cache = self.caches[shard]
-                .lock()
-                .expect("embedding cache lock poisoned");
+            let mut cache = self.cache_of(&owner, user);
             let generation = cache.generation();
             cache.put(
                 generation,
@@ -154,10 +135,7 @@ impl EmbeddingBackend for ShardedEmbeddingBackend {
         twins
             .iter()
             .map(|t| {
-                let shard = self.shard_of(&owner, t.user());
-                self.caches[shard]
-                    .lock()
-                    .expect("embedding cache lock poisoned")
+                self.cache_of(&owner, t.user())
                     .lookup(t.user())
                     .expect("entry just installed or hit")
                     .features

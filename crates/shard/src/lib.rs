@@ -6,8 +6,7 @@
 //! across cells and their twins must follow. This crate partitions the
 //! *data plane* per base station while keeping the *control plane*
 //! (grouping, demand prediction, reservation scoring) global, so a
-//! sharded run produces a bit-identical `SimulationReport` at any shard
-//! count:
+//! seeded run predicts bit-identically at any shard count, one included:
 //!
 //! - [`Shard`] owns one cell's twin registry ([`msvs_udt::UdtStore`]
 //!   with a disjoint instance-nonce namespace), its slice of the CNN

@@ -35,7 +35,7 @@ pub struct BenchOptions {
     pub intervals: usize,
     /// Worker threads (`0` = all cores).
     pub threads: usize,
-    /// Base-station shards (`1` = the legacy single-cell path).
+    /// Base-station shards (`1` = a single-cell deployment).
     pub shards: usize,
     /// Compute backend for the frozen CNN encode path. Explicit (not the
     /// `MSVS_BACKEND` env default) so a bench document always records the
@@ -146,39 +146,35 @@ pub fn run_bench(opts: &BenchOptions) -> Result<Json> {
     } else {
         0.0
     };
-    // Sharded runs record the shard plane alongside the stage table:
+    // Every run records the shard plane alongside the stage table:
     // handover totals, load imbalance, and one demand-attribution row per
     // shard (the per-BS view operators provision from).
-    let shard_plane = if sim.store().sharded() {
-        let s = sim.store().summary();
-        let mut rows = std::collections::BTreeMap::new();
-        for row in &s.demand {
-            rows.insert(
-                format!("shard_{}", row.shard),
-                Json::obj([
-                    ("users", Json::Num(row.users as f64)),
-                    ("radio_rb", Json::Num(row.radio)),
-                    ("computing_cycles", Json::Num(row.computing)),
-                    ("video_cache_hits", Json::Num(row.video_cache_hits as f64)),
-                    (
-                        "video_cache_misses",
-                        Json::Num(row.video_cache_misses as f64),
-                    ),
-                ]),
-            );
-        }
-        Json::obj([
-            ("handovers_total", Json::Num(s.handovers_total as f64)),
-            (
-                "embeddings_dropped_total",
-                Json::Num(s.embeddings_dropped_total as f64),
-            ),
-            ("peak_imbalance", Json::Num(s.peak_imbalance)),
-            ("demand", Json::Obj(rows)),
-        ])
-    } else {
-        Json::Null
-    };
+    let s = sim.store().summary();
+    let mut rows = std::collections::BTreeMap::new();
+    for row in &s.demand {
+        rows.insert(
+            format!("shard_{}", row.shard),
+            Json::obj([
+                ("users", Json::Num(row.users as f64)),
+                ("radio_rb", Json::Num(row.radio)),
+                ("computing_cycles", Json::Num(row.computing)),
+                ("video_cache_hits", Json::Num(row.video_cache_hits as f64)),
+                (
+                    "video_cache_misses",
+                    Json::Num(row.video_cache_misses as f64),
+                ),
+            ]),
+        );
+    }
+    let shard_plane = Json::obj([
+        ("handovers_total", Json::Num(s.handovers_total as f64)),
+        (
+            "embeddings_dropped_total",
+            Json::Num(s.embeddings_dropped_total as f64),
+        ),
+        ("peak_imbalance", Json::Num(s.peak_imbalance)),
+        ("demand", Json::Obj(rows)),
+    ]);
 
     Ok(Json::obj([
         ("schema", Json::Str(BENCH_SCHEMA.into())),

@@ -16,9 +16,8 @@ use msvs_video::{CatalogConfig, EngagementModel};
 pub const THREADS_ENV: &str = "MSVS_THREADS";
 
 /// Environment variable that overrides the default shard count (`1` =
-/// the legacy single-cell deployment). Lets CI exercise the multi-BS
-/// sharded path across the whole test suite without touching each test's
-/// config.
+/// a single-cell deployment). Lets CI run the whole test suite on a
+/// multi-BS deployment without touching each test's config.
 pub const SHARDS_ENV: &str = "MSVS_SHARDS";
 
 /// Environment variable that switches the incremental interval pipeline
@@ -291,12 +290,13 @@ pub struct SimulationConfig {
     /// cores. Defaults to the `MSVS_THREADS` environment variable, or `0`.
     /// Seeded runs produce bit-identical reports at any thread count.
     pub threads: usize,
-    /// Base-station shards the deployment partitions into (`1` = the
-    /// legacy single-cell path). Each shard owns its own twin registry,
-    /// embedding-cache slice and local video-cache tier; users handover
-    /// between shards as mobility crosses cell boundaries. Defaults to
-    /// the `MSVS_SHARDS` environment variable, or `1`. Seeded runs
-    /// produce bit-identical reports at any shard count.
+    /// Base-station shards the deployment partitions into (`1` = one
+    /// cell, the paper's single edge server). Each shard owns its own
+    /// twin registry, embedding-cache slice and local video-cache tier;
+    /// users handover between shards as mobility crosses cell
+    /// boundaries. Defaults to the `MSVS_SHARDS` environment variable,
+    /// or `1`. Seeded runs produce bit-identical predictions at any
+    /// shard count.
     pub shards: usize,
     /// Compute backend for the frozen CNN encode path (`scalar` is the
     /// bit-exact reference; `simd` is bit-identical to it). Training and

@@ -67,10 +67,9 @@ pub struct SimulationReport {
     /// Stage-latency percentiles and event counters collected by
     /// `msvs-telemetry` over the whole run (warm-up included).
     pub telemetry: msvs_telemetry::TelemetrySummary,
-    /// Shard-plane summary (per-BS demand rows, handover totals) when the
-    /// run partitioned into more than one shard; `None` on the legacy
-    /// single-shard path.
-    pub shards: Option<msvs_shard::ShardSummary>,
+    /// Shard-plane summary: per-BS demand rows (one per shard) and
+    /// handover and outage totals.
+    pub shards: msvs_shard::ShardSummary,
     /// SLO watchdog accounting (per-rule breach intervals, burn rates,
     /// hard-breach verdict) when the run carried a live policy; `None`
     /// without one — an empty policy builds no watchdog and leaves the

@@ -225,12 +225,9 @@ impl Simulation {
         predictor.attach_telemetry(telemetry.clone());
         edge.attach_telemetry(telemetry.clone());
         store.attach_telemetry(telemetry.clone());
-        // Sharded runs route the predictor's embedding cache through the
-        // per-shard slices, so handovers can migrate cached encodings;
-        // single-shard runs keep the predictor's own cache untouched.
-        if store.sharded() {
-            predictor.set_embedding_backend(Box::new(store.embedding_backend()));
-        }
+        // The predictor's embedding cache lives in the per-shard slices,
+        // so handovers can migrate cached encodings with their twins.
+        predictor.set_embedding_backend(Box::new(store.embedding_backend()));
         telemetry.emit(Event::RunStarted {
             scheme: predictor.name().to_string(),
             seed: config.seed,
@@ -305,8 +302,7 @@ impl Simulation {
         self.config.backend
     }
 
-    /// The sharded twin registry (inspection). With `shards: 1` this is
-    /// a transparent facade over the single legacy store.
+    /// The sharded twin registry (inspection).
     pub fn store(&self) -> &ShardCoordinator {
         &self.store
     }
@@ -358,15 +354,27 @@ impl Simulation {
     pub fn run(config: SimulationConfig) -> Result<SimulationReport> {
         let mut sim = Simulation::new(config)?;
         sim.warm_up()?;
-        let mut report = SimulationReport::default();
-        for i in 0..sim.config.n_intervals {
-            report.intervals.push(sim.run_interval(i)?);
-        }
-        report.telemetry = sim.telemetry.summary();
-        report.shards = sim.store.sharded().then(|| sim.store.summary());
-        report.slo = sim.slo_report();
-        sim.finish_health();
-        Ok(report)
+        let intervals = (0..sim.config.n_intervals)
+            .map(|i| sim.run_interval(i))
+            .collect::<Result<Vec<_>>>()?;
+        Ok(sim.finish(intervals))
+    }
+
+    /// Assembles the end-of-run report around the scored interval
+    /// records (telemetry summary, shard summary, SLO accounting) and
+    /// marks the run finished on the health board, keeping the final
+    /// interval's signals visible to late scrapes.
+    pub fn finish(&self, intervals: Vec<IntervalRecord>) -> SimulationReport {
+        let report = SimulationReport {
+            intervals,
+            telemetry: self.telemetry.summary(),
+            shards: self.store.summary(),
+            slo: self.slo.as_ref().map(SloWatchdog::report),
+        };
+        let mut snapshot = self.health.snapshot();
+        snapshot.state = "finished".to_string();
+        self.health.publish(snapshot);
+        report
     }
 
     /// Runs the configured warm-up intervals: the full pipeline executes
@@ -433,14 +441,13 @@ impl Simulation {
         let Some(watchdog) = self.slo.as_mut() else {
             return;
         };
-        let min_shard_availability = self.store.sharded().then(|| {
-            self.store
-                .summary()
-                .demand
-                .iter()
-                .map(|row| row.availability)
-                .fold(f64::INFINITY, f64::min)
-        });
+        let min_shard_availability = self
+            .store
+            .summary()
+            .demand
+            .iter()
+            .map(|row| row.availability)
+            .fold(f64::INFINITY, f64::min);
         let mut stage_p99_ms = std::collections::BTreeMap::new();
         for stage_name in watchdog.policy().stage_p99_ms.keys() {
             let p99 = self
@@ -488,20 +495,17 @@ impl Simulation {
 
     /// Publishes the current run health to the board backing `/healthz`.
     fn publish_health(&self, state: &str, intervals_completed: u64, record: &IntervalRecord) {
-        let shards = if self.store.sharded() {
-            self.store
-                .summary()
-                .demand
-                .iter()
-                .map(|row| ShardHealth {
-                    shard: row.shard as u64,
-                    availability: row.availability,
-                    down_intervals: row.down_intervals,
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let shards = self
+            .store
+            .summary()
+            .demand
+            .iter()
+            .map(|row| ShardHealth {
+                shard: row.shard as u64,
+                availability: row.availability,
+                down_intervals: row.down_intervals,
+            })
+            .collect();
         self.health.publish(HealthSnapshot {
             state: state.to_string(),
             intervals_completed,
@@ -528,19 +532,6 @@ impl Simulation {
         &self.health
     }
 
-    /// Marks the run finished on the health board, keeping the final
-    /// interval's signals visible to late scrapes.
-    pub fn finish_health(&self) {
-        let mut snapshot = self.health.snapshot();
-        snapshot.state = "finished".to_string();
-        self.health.publish(snapshot);
-    }
-
-    /// End-of-run SLO accounting, or `None` without a live policy.
-    pub fn slo_report(&self) -> Option<msvs_telemetry::SloReport> {
-        self.slo.as_ref().map(SloWatchdog::report)
-    }
-
     /// Whether any SLO rule has burned past the policy's breach budget.
     pub fn slo_hard_breached(&self) -> bool {
         self.slo.as_ref().is_some_and(SloWatchdog::hard_breached)
@@ -548,22 +539,12 @@ impl Simulation {
 
     /// Applies the fault plan's shard-outage schedule for this interval
     /// and journals the resulting health transitions. Runs every scored
-    /// interval of a sharded deployment (the availability denominator is
-    /// the scored-interval count); outage specs for shards the
-    /// deployment doesn't have, and single-shard runs, are ignored.
+    /// interval (the availability denominator is the scored-interval
+    /// count); outage specs for shards the deployment doesn't have are
+    /// ignored, and the last live shard is never downed.
     fn apply_outage_transitions(&mut self, index: u64) {
-        if !self.store.sharded() {
-            return;
-        }
         let plan = self.faults.as_ref().map(|rt| &rt.plan);
-        let mut handover: Vec<HandoverUser<'_>> = self
-            .users
-            .iter_mut()
-            .map(|u| HandoverUser {
-                user: u.id,
-                tracker: &mut u.tracker,
-            })
-            .collect();
+        let mut handover = handover_users(&mut self.users);
         let transitions = self.store.apply_outages(
             index,
             |shard| plan.and_then(|p| p.outage_at(shard, index)),
@@ -593,21 +574,11 @@ impl Simulation {
     /// cached embedding move as one unit). The fault plane's fate oracle
     /// decides whether a migration's mid-flight report is lost — a lost
     /// report degrades the cached embedding to a re-encode, never the
-    /// twin. No-op on single-shard runs.
+    /// twin.
     fn rebalance_shards(&mut self) {
-        if !self.store.sharded() {
-            return;
-        }
         let now_ms = self.now.as_millis();
         let injector = self.faults.as_ref().map(|rt| &rt.injector);
-        let mut handover: Vec<HandoverUser<'_>> = self
-            .users
-            .iter_mut()
-            .map(|u| HandoverUser {
-                user: u.id,
-                tracker: &mut u.tracker,
-            })
-            .collect();
+        let mut handover = handover_users(&mut self.users);
         self.store.rebalance(&mut handover, |user| {
             injector.is_some_and(|i| {
                 matches!(
@@ -719,7 +690,7 @@ impl Simulation {
         // Users behind a partitioned shard, computed serially before the
         // parallel region (ownership cannot change inside it). Empty
         // when no fault plan runs — indexing falls back to `false`.
-        let partitioned: Vec<bool> = if faults.is_some() && self.store.sharded() {
+        let partitioned: Vec<bool> = if faults.is_some() {
             let ids: Vec<UserId> = self.users.iter().map(|u| u.id).collect();
             self.store.partitioned_users(&ids)
         } else {
@@ -884,8 +855,7 @@ impl Simulation {
         let degradation = prediction.degradation;
         if scored {
             // Attribute the interval's per-group demand to shards by
-            // member ownership (per-BS provisioning rows; no-op when the
-            // deployment is not partitioned).
+            // member ownership (per-BS provisioning rows).
             self.store.fold_demand(&outcome.groups);
         }
         if scored {
@@ -1232,6 +1202,18 @@ impl Simulation {
         }
         total
     }
+}
+
+/// Borrows each user's id and sync tracker for a shard sweep, in
+/// user-vector order.
+fn handover_users(users: &mut [SimUser]) -> Vec<HandoverUser<'_>> {
+    users
+        .iter_mut()
+        .map(|u| HandoverUser {
+            user: u.id,
+            tracker: &mut u.tracker,
+        })
+        .collect()
 }
 
 /// One user's collection tick under an active fault plan.
@@ -1750,14 +1732,11 @@ mod tests {
         };
         let mut sim = Simulation::new(cfg).unwrap();
         sim.warm_up().unwrap();
-        let mut report = SimulationReport::default();
-        for i in 0..3 {
-            report.intervals.push(sim.run_interval(i).unwrap());
-        }
+        let intervals: Vec<IntervalRecord> = (0..3).map(|i| sim.run_interval(i).unwrap()).collect();
         assert_eq!(sim.churned_users(), 3 * 6, "25% of 24 users per interval");
         // Population size is unchanged; everything still scored sanely.
         assert_eq!(sim.store().len(), 24);
-        for r in &report.intervals {
+        for r in &intervals {
             assert!(r.actual_radio.value() > 0.0);
             assert!((0.0..=1.0).contains(&r.radio_accuracy));
         }

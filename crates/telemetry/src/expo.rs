@@ -203,7 +203,7 @@ pub struct HealthSnapshot {
     pub degraded: bool,
     /// Cumulative degraded intervals.
     pub degraded_intervals: u64,
-    /// Per-shard availability (empty on single-shard runs).
+    /// Per-shard availability (one row per shard).
     pub shards: Vec<ShardHealth>,
     /// Cumulative SLO breach edges (0 without a policy).
     pub slo_breaches: u64,

@@ -417,58 +417,4 @@ mod tests {
         let err = Json::parse(&"[".repeat(100_000)).unwrap_err();
         assert!(err.contains("nesting deeper than"), "{err}");
     }
-
-    /// splitmix64: a dependency-free, well-mixed seeded generator.
-    fn splitmix64(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Seeded mutation fuzzing over committed documents: byte flips,
-    /// truncations and cross-document splices must each yield `Ok` or
-    /// `Err`, never a panic.
-    #[test]
-    fn mutated_documents_never_panic() {
-        const SEEDS: [&str; 2] = [
-            include_str!("../../../results/BENCH_7.json"),
-            include_str!("../../../results/fault_profiles/bs-crash.json"),
-        ];
-        // Bytes that steer the parser into its structural branches.
-        const SPICE: &[u8] = b"[]{}\",:\\u0-+.eE tfn\n\xff";
-        for seed in SEEDS {
-            assert!(Json::parse(seed).is_ok(), "seed documents parse");
-        }
-        let mut state = 0x5EED_u64;
-        let below = |n: usize, state: &mut u64| (splitmix64(state) % n.max(1) as u64) as usize;
-        for case in 0..4000 {
-            let doc = SEEDS[case % SEEDS.len()].as_bytes();
-            let mut bytes = doc.to_vec();
-            match case % 3 {
-                0 => {
-                    for _ in 0..1 + below(4, &mut state) {
-                        let at = below(bytes.len(), &mut state);
-                        bytes[at] = if below(2, &mut state) == 0 {
-                            SPICE[below(SPICE.len(), &mut state)]
-                        } else {
-                            splitmix64(&mut state) as u8
-                        };
-                    }
-                }
-                1 => bytes.truncate(below(bytes.len(), &mut state)),
-                _ => {
-                    let other = SEEDS[below(SEEDS.len(), &mut state)].as_bytes();
-                    let cut = below(bytes.len(), &mut state);
-                    let from = below(other.len(), &mut state);
-                    bytes.truncate(cut);
-                    bytes.extend_from_slice(&other[from..]);
-                }
-            }
-            let text = String::from_utf8_lossy(&bytes);
-            let outcome = std::panic::catch_unwind(|| Json::parse(&text));
-            assert!(outcome.is_ok(), "case {case} panicked on {text:?}");
-        }
-    }
 }

@@ -42,8 +42,8 @@ pub const SLO_BREACHES_TOTAL: &str = "slo_breaches_total";
 pub struct SloPolicy {
     /// Minimum per-shard availability (worst shard is judged). Breached
     /// on any interval where some shard's cumulative availability drops
-    /// below the floor. Inert on single-shard runs, which report no
-    /// per-shard availability.
+    /// below the floor. A single-shard run always reports `1.0`, since
+    /// its only shard is never downed.
     pub availability_floor: Option<f64>,
     /// Minimum fresh-twin coverage entering prediction.
     pub coverage_floor: Option<f64>,
@@ -252,13 +252,13 @@ impl SloPolicy {
 ///
 /// All fields except `stage_p99_ms` are pure functions of the seeded
 /// simulation state, so the resulting breach stream is deterministic.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SloSignals {
     /// The interval just completed.
     pub interval: u64,
-    /// Worst per-shard cumulative availability, or `None` on
-    /// single-shard runs (the rule is inert without shards).
-    pub min_shard_availability: Option<f64>,
+    /// Worst per-shard cumulative availability (always `1.0` on one
+    /// shard: the last live shard is never downed).
+    pub min_shard_availability: f64,
     /// Fresh-twin coverage entering this interval's prediction.
     pub twin_coverage: Option<f64>,
     /// Cumulative degraded (fallback-path) intervals so far.
@@ -333,9 +333,8 @@ impl SloWatchdog {
         // rules pass `value < floor`, budget rules `value > ceiling`).
         let mut checks: Vec<(String, f64, f64, bool)> = Vec::new();
         if let Some(floor) = self.policy.availability_floor {
-            if let Some(avail) = signals.min_shard_availability {
-                checks.push((RULE_AVAILABILITY.to_string(), avail, floor, avail < floor));
-            }
+            let avail = signals.min_shard_availability;
+            checks.push((RULE_AVAILABILITY.to_string(), avail, floor, avail < floor));
         }
         if let Some(floor) = self.policy.coverage_floor {
             if let Some(coverage) = signals.twin_coverage {
@@ -461,7 +460,7 @@ mod tests {
     fn signals(interval: u64, avail: f64, coverage: f64, degraded: u64) -> SloSignals {
         SloSignals {
             interval,
-            min_shard_availability: Some(avail),
+            min_shard_availability: avail,
             twin_coverage: Some(coverage),
             degraded_intervals: degraded,
             stage_p99_ms: BTreeMap::new(),
@@ -558,16 +557,18 @@ mod tests {
     }
 
     #[test]
-    fn availability_rule_is_inert_without_shard_signal() {
+    fn full_availability_is_judged_and_never_breaches() {
+        // A single-shard run reports 1.0 every interval: the rule is
+        // evaluated like any other, and no floor in [0, 1] trips it.
         let policy = SloPolicy {
-            availability_floor: Some(0.999),
+            availability_floor: Some(1.0),
             ..SloPolicy::none()
         };
         let mut dog = SloWatchdog::new(policy);
-        let mut s = signals(0, 0.0, 1.0, 0);
-        s.min_shard_availability = None;
-        assert!(dog.observe(&s).is_empty());
-        assert!(dog.report().rules.is_empty());
+        assert!(dog.observe(&signals(0, 1.0, 1.0, 0)).is_empty());
+        let report = dog.report();
+        assert_eq!(report.rules.len(), 1, "the rule was evaluated");
+        assert_eq!(report.rules[0].breach_intervals, 0);
     }
 
     #[test]

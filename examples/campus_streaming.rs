@@ -21,10 +21,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let mut sim = Simulation::new(config.clone())?;
     sim.warm_up()?;
-    let mut result = msvs::sim::SimulationReport::default();
-    for i in 0..config.n_intervals {
-        result.intervals.push(sim.run_interval(i)?);
-    }
+    let intervals = (0..config.n_intervals)
+        .map(|i| sim.run_interval(i))
+        .collect::<Result<Vec<_>, _>>()?;
+    let result = sim.finish(intervals);
 
     println!(
         "== per-interval scorecard ==\n{}",

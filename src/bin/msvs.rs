@@ -27,7 +27,7 @@ use msvs::faults::FaultPlan;
 use msvs::shard::{Shard, ShardCheckpoint};
 use msvs::sim::{
     bench_backend_name, report, run_bench, validate_bench_json, BackendKind, BenchOptions,
-    DemandPredictorKind, Simulation, SimulationConfig, SimulationReport,
+    DemandPredictorKind, Simulation, SimulationConfig,
 };
 use msvs::telemetry::{
     chrome_trace_with_counters, flame, Event, EventJournal, Json, MetricsServer, RunManifest,
@@ -264,7 +264,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let with_faults = cfg.faults.as_ref().is_some_and(|p| !p.is_noop());
     let (n_users, n_intervals, seed) = (cfg.n_users, cfg.n_intervals, cfg.seed);
     // Drive the intervals by hand (rather than `Simulation::run`) so the
-    // telemetry handle stays reachable for the journal export below.
+    // metrics server can bind before warm-up and the telemetry handle
+    // stays reachable for the exports below.
     let mut sim = Simulation::new(cfg).map_err(|e| e.to_string())?;
     // The metrics server reads shared telemetry/health handles; it never
     // writes, so the run itself is untouched by scrapes.
@@ -284,39 +285,33 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         None => None,
     };
     sim.warm_up().map_err(|e| e.to_string())?;
-    let mut result = SimulationReport::default();
-    for i in 0..n_intervals {
-        result
-            .intervals
-            .push(sim.run_interval(i).map_err(|e| e.to_string())?);
-    }
-    result.telemetry = sim.telemetry().summary();
-    result.shards = sim.store().sharded().then(|| sim.store().summary());
-    result.slo = sim.slo_report();
-    sim.finish_health();
+    let intervals = (0..n_intervals)
+        .map(|i| sim.run_interval(i))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| e.to_string())?;
+    let result = sim.finish(intervals);
     println!("{}", report::interval_table(&result));
-    if let Some(shards) = &result.shards {
+    let shards = &result.shards;
+    println!(
+        "shards: {} | handovers {} | embeddings dropped {} | peak imbalance {:.2}",
+        shards.shards,
+        shards.handovers_total,
+        shards.embeddings_dropped_total,
+        shards.peak_imbalance,
+    );
+    if shards.outages_total > 0 {
+        let worst = shards
+            .demand
+            .iter()
+            .map(|r| r.availability)
+            .fold(1.0f64, f64::min);
         println!(
-            "shards: {} | handovers {} | embeddings dropped {} | peak imbalance {:.2}",
-            shards.shards,
-            shards.handovers_total,
-            shards.embeddings_dropped_total,
-            shards.peak_imbalance,
+            "outages: {} | failover handovers {} | checkpoint bytes {} | worst availability {:.1}%",
+            shards.outages_total,
+            shards.failover_handovers_total,
+            shards.checkpoint_bytes_total,
+            100.0 * worst,
         );
-        if shards.outages_total > 0 {
-            let worst = shards
-                .demand
-                .iter()
-                .map(|r| r.availability)
-                .fold(1.0f64, f64::min);
-            println!(
-                "outages: {} | failover handovers {} | checkpoint bytes {} | worst availability {:.1}%",
-                shards.outages_total,
-                shards.failover_handovers_total,
-                shards.checkpoint_bytes_total,
-                100.0 * worst,
-            );
-        }
     }
     println!(
         "radio accuracy {:.2}% | computing accuracy {:.2}% | saving {:.1}% | waste {:.2}%",

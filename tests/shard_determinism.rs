@@ -8,6 +8,7 @@
 //! embedding, never duplicates or drops a twin.
 
 use msvs::core::{CompressorConfig, GroupingConfig, SchemeConfig};
+use msvs::shard::ShardSummary;
 use msvs::sim::{Simulation, SimulationConfig, SimulationReport};
 use msvs::types::SimDuration;
 
@@ -59,7 +60,7 @@ fn strip_wall(mut r: SimulationReport) -> SimulationReport {
 /// one re-encodes) — leaving only what the pipeline computed. After this,
 /// reports at any shard count must be bit-identical.
 fn strip_shard_plane(mut r: SimulationReport) -> SimulationReport {
-    r.shards = None;
+    r.shards = ShardSummary::default();
     r.telemetry
         .counters
         .retain(|(name, _, _)| !name.starts_with("cnn_cache") && !name.starts_with("handover"));
@@ -77,7 +78,7 @@ fn seeded_report_is_bit_identical_across_shard_counts() {
             strip_shard_plane(Simulation::run(sharded_config(33, shards, 1)).expect("sharded run"));
         assert_eq!(
             baseline, partitioned,
-            "{shards} shards must compute the same report as the single-shard path"
+            "{shards} shards must compute the same report as 1 shard"
         );
     }
 }
@@ -95,29 +96,42 @@ fn sharded_report_is_bit_identical_across_thread_counts() {
     );
 }
 
+/// Every run attaches a shard summary, one row per shard, at 1 shard as
+/// at 4: the rows partition the population and sum back to the globally
+/// predicted radio and computing totals.
 #[test]
 fn shard_summary_reports_per_bs_demand() {
-    let report = Simulation::run(sharded_config(21, 4, 1)).expect("sharded run");
-    let summary = report.shards.expect("multi-shard runs attach a summary");
-    assert_eq!(summary.shards, 4);
-    assert_eq!(summary.demand.len(), 4);
-    let users: usize = summary.demand.iter().map(|row| row.users).sum();
-    assert_eq!(users, 24, "every user owned by exactly one shard");
-    assert!(summary.peak_imbalance >= 1.0);
-    // The per-shard rows must sum back to the globally predicted totals.
-    let row_radio: f64 = summary.demand.iter().map(|r| r.radio).sum();
-    let global_radio: f64 = report
-        .intervals
-        .iter()
-        .map(|i| i.predicted_radio.value())
-        .sum();
-    assert!(
-        (row_radio - global_radio).abs() <= 1e-6 * global_radio.max(1.0),
-        "aggregator rows ({row_radio}) must sum to the global reservation ({global_radio})"
-    );
-    // Single-shard runs stay on the legacy path: no summary at all.
-    let legacy = Simulation::run(sharded_config(21, 1, 1)).expect("single-shard run");
-    assert!(legacy.shards.is_none());
+    for shards in [1, 4] {
+        let report = Simulation::run(sharded_config(21, shards, 1)).expect("run");
+        let summary = &report.shards;
+        assert_eq!(summary.shards, shards);
+        assert_eq!(summary.demand.len(), shards, "one demand row per shard");
+        let users: usize = summary.demand.iter().map(|row| row.users).sum();
+        assert_eq!(users, 24, "every user owned by exactly one shard");
+        assert!(summary.peak_imbalance >= 1.0);
+        let rows = [
+            summary.demand.iter().map(|r| r.radio).sum::<f64>(),
+            summary.demand.iter().map(|r| r.computing).sum(),
+        ];
+        let global = [
+            report
+                .intervals
+                .iter()
+                .map(|i| i.predicted_radio.value())
+                .sum::<f64>(),
+            report
+                .intervals
+                .iter()
+                .map(|i| i.predicted_computing.value())
+                .sum(),
+        ];
+        for (row, global) in rows.into_iter().zip(global) {
+            assert!(
+                (row - global).abs() <= 1e-6 * global.max(1.0),
+                "{shards} shard(s): rows ({row}) must sum to the global reservation ({global})"
+            );
+        }
+    }
 }
 
 #[test]
@@ -156,7 +170,7 @@ fn handover_under_churn_storm_and_lossy_uplink_conserves_twins() {
     };
     for profile in ["churn-storm", "lossy-uplink"] {
         let serial = run(profile, 1);
-        let summary = serial.shards.clone().expect("sharded summary");
+        let summary = &serial.shards;
         let users: usize = summary.demand.iter().map(|row| row.users).sum();
         assert_eq!(
             users, 24,

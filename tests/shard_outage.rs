@@ -127,7 +127,7 @@ fn bs_crash_conserves_twins_across_kill_failover_restore() {
 
 /// A fault plan whose outage list is empty (and injects nothing else) is
 /// a noop: the report must be bit-identical to running with no plan at
-/// all, on both the single-shard and the sharded path.
+/// all, at 1 shard and at 4.
 #[test]
 fn empty_outage_plan_is_bit_identical_to_no_plan() {
     for shards in [1, 4] {
@@ -172,7 +172,7 @@ fn partition_pins_users_and_feeds_the_degradation_ladder() {
     // bs-flap partitions shard 1 at intervals 1 and 3, one interval each.
     let cfg = with_profile(outage_config(61, 4, 1, 4), "bs-flap");
     let report = Simulation::run(cfg).expect("bs-flap run");
-    let summary = report.shards.clone().expect("sharded summary");
+    let summary = &report.shards;
     assert_eq!(summary.outages_total, 2, "bs-flap flaps twice");
     assert_eq!(
         summary.failover_handovers_total, 0,
@@ -193,16 +193,22 @@ fn partition_pins_users_and_feeds_the_degradation_ladder() {
     assert_eq!(users, 24, "partition never moves or drops a twin");
 }
 
-/// Outage specs aimed at shards the deployment doesn't have are inert:
-/// the run completes and schedules nothing.
+/// Outage specs aimed at shards the deployment doesn't have are inert,
+/// and the last live shard is never downed: a 1-shard `bs-crash` run
+/// (which targets shard 1) observes every interval and keeps its only
+/// shard, with every twin, fully available.
 #[test]
 fn outage_for_absent_shard_is_ignored() {
-    // bs-crash targets shard 1; a single-shard run has only shard 0, and
-    // the last live shard can never be downed anyway.
     let cfg = with_profile(outage_config(29, 1, 1, 3), "bs-crash");
-    let report = Simulation::run(cfg).expect("single-shard bs-crash run");
-    assert!(
-        report.shards.is_none(),
-        "single-shard runs never attach a shard summary"
+    let summary = Simulation::run(cfg)
+        .expect("single-shard bs-crash run")
+        .shards;
+    assert_eq!(
+        summary.intervals_observed, 3,
+        "every scored interval observed"
     );
+    assert_eq!(summary.outages_total, 0);
+    assert_eq!(summary.demand.len(), 1);
+    assert_eq!(summary.demand[0].users, 24);
+    assert_eq!(summary.demand[0].availability, 1.0);
 }

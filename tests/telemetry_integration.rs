@@ -41,13 +41,10 @@ fn run_config(cfg: SimulationConfig) -> (Vec<Entry>, msvs::sim::SimulationReport
     let n = cfg.n_intervals;
     let mut sim = Simulation::new(cfg).expect("scenario builds");
     sim.warm_up().expect("warm-up runs");
-    let mut report = msvs::sim::SimulationReport::default();
-    for i in 0..n {
-        report
-            .intervals
-            .push(sim.run_interval(i).expect("interval runs"));
-    }
-    report.telemetry = sim.telemetry().summary();
+    let intervals = (0..n)
+        .map(|i| sim.run_interval(i).expect("interval runs"))
+        .collect();
+    let report = sim.finish(intervals);
     (sim.telemetry().journal().entries(), report)
 }
 

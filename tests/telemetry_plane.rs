@@ -204,8 +204,9 @@ fn slo_breach_stream_is_identical_across_thread_counts() {
 /// Availability is a shard-plane signal, so the comparison across shard
 /// counts covers the deployment-independent rules: the coverage and
 /// degraded-budget breach streams must be bit-identical on 1 vs 4 shards
-/// under the same `bs-crash` plan (whose outage is inert on 1 shard, as
-/// its 5% uplink loss is not).
+/// under the same `bs-crash` plan (its outage cannot down the only shard
+/// of a 1-shard run, which stays at availability 1.0; its 5% uplink loss
+/// hits both).
 #[test]
 fn slo_breach_stream_is_identical_across_shard_counts() {
     let single = run_with_slo(33, 1, 1);
@@ -221,25 +222,19 @@ fn slo_breach_stream_is_identical_across_shard_counts() {
         deployment_free(&sharded),
         "coverage/degraded breach stream must not depend on the shard count"
     );
+    assert!(
+        slo_stream(&single)
+            .iter()
+            .all(|(_, slo, _, _, _)| slo != "availability"),
+        "the only shard of a 1-shard run is never down"
+    );
 }
 
 /// Scraping `/metrics` and `/healthz` between every interval must not
 /// perturb the run: the report stays bit-identical to an unserved run.
 #[test]
 fn metrics_server_has_zero_observer_effect() {
-    let quiet = {
-        let mut sim = Simulation::new(seeded_config(52, 4, 2, 3)).expect("sim builds");
-        sim.warm_up().expect("warm-up runs");
-        let mut report = SimulationReport::default();
-        for i in 0..3 {
-            report
-                .intervals
-                .push(sim.run_interval(i).expect("interval"));
-        }
-        report.telemetry = sim.telemetry().summary();
-        report.shards = sim.store().sharded().then(|| sim.store().summary());
-        strip_wall(report)
-    };
+    let quiet = strip_wall(Simulation::run(seeded_config(52, 4, 2, 3)).expect("quiet run"));
     let scraped = {
         let mut sim = Simulation::new(seeded_config(52, 4, 2, 3)).expect("sim builds");
         let server = MetricsServer::bind(
@@ -250,21 +245,17 @@ fn metrics_server_has_zero_observer_effect() {
         .expect("server binds an ephemeral port");
         let addr = server.addr();
         sim.warm_up().expect("warm-up runs");
-        let mut report = SimulationReport::default();
+        let mut intervals = Vec::new();
         for i in 0..3 {
-            report
-                .intervals
-                .push(sim.run_interval(i).expect("interval"));
+            intervals.push(sim.run_interval(i).expect("interval"));
             let metrics = expo::http_get(addr, "/metrics").expect("mid-run scrape");
             assert!(metrics.contains("# TYPE events_total counter"));
             let health = expo::http_get(addr, "/healthz").expect("mid-run health scrape");
             assert!(health.contains("\"state\":\"running\""));
         }
-        sim.finish_health();
+        let report = sim.finish(intervals);
         let health = expo::http_get(addr, "/healthz").expect("final health scrape");
         assert!(health.contains("\"state\":\"finished\""));
-        report.telemetry = sim.telemetry().summary();
-        report.shards = sim.store().sharded().then(|| sim.store().summary());
         strip_wall(report)
     };
     assert_eq!(
